@@ -1,12 +1,23 @@
 """Bundled spectrum-assignment policies: First Fit, Exact Fit, First-Last Fit.
 
-All three share one kernel: build the joint occupancy of a route (a slot is
-free only if free on every link), search that grid for a placement of the
-required width, and stage the winning interval on each link of the route.
-Routes are tried in their file order; within a route, the modulation options
-admissible for the route length are tried fewest-slots-first.  Because the
-same interval is staged on every link, accepted connections satisfy the
-continuity and contiguity constraints by construction.
+All three share one search: OR the route's link grids into a joint
+occupancy (a slot is free only if free on every link), find a placement of
+the required width in it, and stage the winning interval on each link of
+the route.  Routes are tried in their file order; within a route, the
+modulation options admissible for the route length are tried
+fewest-slots-first.  Because the same interval is staged on every link,
+accepted connections satisfy the continuity and contiguity constraints by
+construction.
+
+Grids are ``int`` bitmasks (see :mod:`eonsim.network`), and the search
+reads the request's memoised plan (:class:`~eonsim.allocation.RoutePlan`)
+and the link masks directly.  Windows of ``size`` free slots are found by
+shift-AND; a low-to-high search takes the lowest window start, a
+high-to-low search the highest, and exact fit first looks for the lowest
+window that is a whole free run.
+The public kernels :func:`intersection_grid`, :func:`first_free_block` and
+:func:`exact_free_block` are ndarray adapters over the same mask kernels,
+kept for user algorithms; the bundled algorithms do not call them.
 """
 
 from __future__ import annotations
@@ -16,8 +27,15 @@ from enum import Enum
 
 import numpy as np
 
-from .allocation import ALLOCATED, NOT_ALLOCATED, AllocationContext, Verdict
+from .allocation import (
+    ALLOCATED,
+    NOT_ALLOCATED,
+    AllocationContext,
+    RoutePlan,
+    Verdict,
+)
 from .errors import HeterogeneousSlotCountsError
+from .network import grid_to_mask, mask_to_grid
 
 
 class SearchDirection(Enum):
@@ -37,20 +55,60 @@ class FreeBlock:
         return self.stop - self.start
 
 
+# -- mask kernels ---------------------------------------------------------------
+
+def _window_starts(free: int, size: int) -> int:
+    """Mask of every ``i`` such that bits ``i .. i+size-1`` of ``free`` are set."""
+    starts = free
+    width = 1
+    while width < size and starts:
+        step = min(width, size - width)
+        starts &= starts >> step
+        width += step
+    return starts
+
+
+def _exact_starts(free: int, size: int, windows: int) -> int:
+    """The ``windows`` starts whose run of ``size`` free bits is maximal.
+
+    The left neighbour and the slot after the run must not be free; slot -1
+    and slots beyond the grid count as occupied.
+    """
+    return windows & ~((free << 1) | (free >> size))
+
+
+def _lowest(starts: int) -> int:
+    return (starts & -starts).bit_length() - 1
+
+
+def _route_occupied(route: int, plan: RoutePlan, links) -> int:
+    """Joint occupancy mask of the route; ``links`` indexed by id."""
+    if not plan.all_slots:
+        counts = sorted({links[lid].slot_count for lid in plan.link_ids})
+        raise HeterogeneousSlotCountsError(
+            f"route {route} mixes links with slot counts {counts}"
+        )
+    occupied = 0
+    for lid in plan.link_ids:
+        occupied |= links[lid]._mask
+    return occupied
+
+
+# -- ndarray adapters ------------------------------------------------------------
+
 def intersection_grid(ctx: AllocationContext, route: int) -> np.ndarray:
     """Joint occupancy over the route: slot i is True if occupied on any link.
 
     Always a fresh array, detached from the live grids.
     """
-    grids = ctx._route_grids(route)
-    sizes = {grid.shape[0] for grid in grids}
-    if len(sizes) > 1:
-        raise HeterogeneousSlotCountsError(
-            f"route {route} mixes links with slot counts {sorted(sizes)}"
-        )
-    if len(grids) == 1:
-        return grids[0].copy()
-    return np.logical_or.reduce(grids)
+    ctx.route_link_ids(route)  # rejects an out-of-range route index
+    plan = ctx._search_plan()[route]
+    occupied = _route_occupied(route, plan, ctx._network.links)
+    return mask_to_grid(occupied, plan.all_slots.bit_length())
+
+
+def _free_mask(grid: np.ndarray) -> int:
+    return ((1 << grid.shape[0]) - 1) ^ grid_to_mask(grid)
 
 
 def first_free_block(grid: np.ndarray, size: int,
@@ -64,19 +122,13 @@ def first_free_block(grid: np.ndarray, size: int,
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    if size > grid.shape[0]:
+    starts = _window_starts(_free_mask(grid), size)
+    if not starts:
         return None
-    # A bool grid is one byte per slot, so a free run of `size` slots is
-    # exactly `size` consecutive zero bytes; substring search finds it at
-    # C speed.
-    raw = grid.tobytes()
-    needle = bytes(size)
     if direction is SearchDirection.LOW_TO_HIGH:
-        start = raw.find(needle)
+        start = _lowest(starts)
     else:
-        start = raw.rfind(needle)
-    if start < 0:
-        return None
+        start = starts.bit_length() - 1
     return FreeBlock(start, start + size)
 
 
@@ -88,18 +140,12 @@ def exact_free_block(grid: np.ndarray, size: int) -> FreeBlock | None:
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    padded = np.empty(grid.shape[0] + 2, dtype=np.int8)
-    padded[0] = padded[-1] = 1
-    padded[1:-1] = grid
-    edges = np.diff(padded)
-    starts = np.flatnonzero(edges == -1)
-    stops = np.flatnonzero(edges == 1)
-    lengths = stops - starts
-    matches = np.flatnonzero(lengths == size)
-    if matches.size == 0:
+    free = _free_mask(grid)
+    starts = _exact_starts(free, size, _window_starts(free, size))
+    if not starts:
         return None
-    index = int(matches[0])
-    return FreeBlock(int(starts[index]), int(stops[index]))
+    start = _lowest(starts)
+    return FreeBlock(start, start + size)
 
 
 def modulation_options(ctx: AllocationContext, route: int) -> list[int]:
@@ -114,26 +160,28 @@ def modulation_options(ctx: AllocationContext, route: int) -> list[int]:
             if ctx.request_reach_km(i) >= length]
 
 
-def _stage_route(ctx: AllocationContext, route: int, block: FreeBlock) -> None:
-    for link_id in ctx.route_link_ids(route):
-        ctx.alloc_slots(link_id, block.start, block.stop)
-
-
 def _search_routes(ctx: AllocationContext, direction: SearchDirection,
                    exact_first: bool) -> Verdict:
-    for route in range(ctx.route_count()):
-        options = modulation_options(ctx, route)
-        if not options:
+    high_to_low = direction is SearchDirection.HIGH_TO_LOW
+    links = ctx._network.links
+    for route, plan in enumerate(ctx._search_plan()):
+        if not plan.widths:
             continue
-        grid = intersection_grid(ctx, route)
-        for option in options:
-            size = ctx.request_slots(option)
-            block = exact_free_block(grid, size) if exact_first else None
-            if block is None:
-                block = first_free_block(grid, size, direction)
-            if block is not None:
-                _stage_route(ctx, route, block)
-                return ALLOCATED
+        free = plan.all_slots ^ _route_occupied(route, plan, links)
+        for size in plan.widths:
+            windows = _window_starts(free, size)
+            if not windows:
+                continue
+            exact = _exact_starts(free, size, windows) if exact_first else 0
+            if exact:
+                start = _lowest(exact)
+            elif high_to_low:
+                start = windows.bit_length() - 1
+            else:
+                start = _lowest(windows)
+            for link_id in plan.link_ids:
+                ctx.alloc_slots(link_id, start, start + size)
+            return ALLOCATED
     return NOT_ALLOCATED
 
 

@@ -36,6 +36,7 @@ slot interval.
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +101,10 @@ class LinkView:
 
     @property
     def occupancy(self) -> np.ndarray:
-        """Read-only occupancy array; True marks an occupied slot."""
+        """Read-only snapshot of the grid; True marks an occupied slot.
+
+        A fresh array on every read: it does not follow later changes.
+        """
         return self._link.occupancy
 
     def is_slot_occupied(self, slot: int) -> bool:
@@ -109,7 +113,7 @@ class LinkView:
                 f"slot {slot} outside the {self._link.slot_count}-slot grid "
                 f"of link {self._link.id}"
             )
-        return bool(self._link.occupancy[slot])
+        return not self._link.is_range_free(slot, slot + 1)
 
     def is_range_free(self, start: int, stop: int) -> bool:
         return self._link.is_range_free(start, stop)
@@ -118,11 +122,43 @@ class LinkView:
         return f"LinkView({self._link!r})"
 
 
+class RoutePlan(NamedTuple):
+    """What the bundled search needs of one candidate route for one request."""
+
+    link_ids: tuple[int, ...]
+    #: Distinct slot widths of the options whose reach covers the route,
+    #: in option trial order.
+    widths: tuple[int, ...]
+    #: Mask with every slot of the route's grid set; 0 when the route's
+    #: links differ in slot count.
+    all_slots: int
+
+
+def request_plan(network: Network, routes: tuple[Route, ...],
+                 request: BitRateEntry) -> tuple[RoutePlan, ...]:
+    """One :class:`RoutePlan` per candidate route, in retry order.
+
+    A pure function of the routes and the bitrate entry, so the engine
+    builds it once per (source, destination, bitrate) and reuses it.
+    """
+    plans = []
+    for route in routes:
+        widths: list[int] = []
+        for option in request.options:
+            if (option.reach_km >= route.length_km
+                    and option.slot_count not in widths):
+                widths.append(option.slot_count)
+        counts = {network.links[lid].slot_count for lid in route.link_ids}
+        all_slots = (1 << counts.pop()) - 1 if len(counts) == 1 else 0
+        plans.append(RoutePlan(route.link_ids, tuple(widths), all_slots))
+    return tuple(plans)
+
+
 class AllocationContext:
     """Everything one allocation callback may see and do for one request."""
 
     __slots__ = ("src", "dst", "_network", "_routes", "_request", "_staged",
-                 "strict_audit")
+                 "strict_audit", "_plan")
 
     def __init__(self, network: Network, src: int, dst: int,
                  routes: tuple[Route, ...], request: BitRateEntry,
@@ -134,6 +170,7 @@ class AllocationContext:
         self._request = request
         self._staged: list[tuple[int, int, int]] = []
         self.strict_audit = strict_audit
+        self._plan: tuple[RoutePlan, ...] | None = None
 
     # -- candidate route reads -------------------------------------------
 
@@ -168,11 +205,12 @@ class AllocationContext:
         """Link ids of the route, in traversal order."""
         return self._route(route).link_ids
 
-    def _route_grids(self, route: int) -> list:
-        # Raw occupancy arrays for the search kernels; never handed to user
-        # code un-copied.
-        links = self._network.links
-        return [links[lid]._slots for lid in self._route(route).link_ids]
+    def _search_plan(self) -> tuple[RoutePlan, ...]:
+        # The engine hands in its memoised plan; a context built by hand
+        # derives one on first use.
+        if self._plan is None:
+            self._plan = request_plan(self._network, self._routes, self._request)
+        return self._plan
 
     # -- request reads -----------------------------------------------------
 
@@ -267,8 +305,16 @@ class AllocationContext:
         return holdings
 
     def _audit(self) -> None:
+        # alloc_slots rejects overlapping ranges on one link, so when every
+        # staged range is the same interval, each link holds it once and
+        # both constraints hold.
+        staged = self._staged
+        _, first_start, first_stop = staged[0]
+        if all(start == first_start and stop == first_stop
+               for _, start, stop in staged):
+            return
         per_link: dict[int, list[tuple[int, int]]] = {}
-        for link_id, start, stop in self._staged:
+        for link_id, start, stop in staged:
             per_link.setdefault(link_id, []).append((start, stop))
         spans: set[tuple[int, int]] = set()
         for link_id, ranges in per_link.items():

@@ -16,7 +16,7 @@ from .algorithms import ALGORITHMS
 from .engine import SimulatorConfig
 from .errors import EonSimError
 from .inputs import load_bit_rates, load_network, load_routes
-from .report import run_sweep, write_dat
+from .report import sweep_reports, write_dat
 from .traffic import Seeds, TrafficProfile
 
 
@@ -98,42 +98,22 @@ def main(argv=None) -> int:
                         args.seed_bitrate),
             strict_audit=not args.no_strict_audit,
         )
-        results = _run(config, lambdas, args, progress)
+        reports = sweep_reports(config, lambdas, args.algorithm,
+                                workers=args.workers, progress_every=progress)
+        results = [(report.erlang, report.blocking_probability)
+                   for report in reports]
         write_dat(results, args.out)
     except (EonSimError, OSError, ValueError) as err:
         print(f"eonsim: {err}", file=sys.stderr)
         return 1
+    if args.per_bitrate:
+        for report in reports:
+            for line in report.per_bitrate_lines():
+                print(line)
     for erlang, blocking in results:
         print(f"{erlang:g} {blocking:.6e}")
     print(f"wrote {args.out}")
     return 0
-
-
-def _run(config, lambdas, args, progress):
-    if args.per_bitrate and args.workers <= 1:
-        # Run sequentially through the Simulator to keep the reports around.
-        import dataclasses
-
-        from .engine import Simulator
-
-        results = []
-        for lam in sorted(lambdas):
-            run_config = dataclasses.replace(
-                config,
-                network=config.network.fresh_copy(),
-                profile=dataclasses.replace(config.profile, arrival_rate=lam),
-            )
-            simulator = Simulator(run_config, ALGORITHMS[args.algorithm],
-                                  algorithm_name=args.algorithm,
-                                  progress_every=progress, out=sys.stdout)
-            simulator.init()
-            report = simulator.run()
-            for line in report.per_bitrate_lines():
-                print(line)
-            results.append((report.erlang, report.blocking_probability))
-        return results
-    return run_sweep(config, lambdas, args.algorithm,
-                     workers=args.workers, progress_every=progress)
 
 
 if __name__ == "__main__":

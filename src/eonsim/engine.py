@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, NamedTuple, TextIO
 
-from .allocation import ALLOCATED, NOT_ALLOCATED, AllocationContext
+from .allocation import ALLOCATED, NOT_ALLOCATED, AllocationContext, request_plan
 from .errors import (
     AllocatorFaultError,
     AlreadyInitializedError,
@@ -111,6 +111,8 @@ class Simulator:
         self._next_connection_id = 0
         self._arrivals_dispatched = 0
         self._report: SimulationReport | None = None
+        # (src, dst, bitrate index) -> (routes, search plan), filled on first use.
+        self._plans: dict[tuple[int, int, int], tuple] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -252,12 +254,20 @@ class Simulator:
         config = self._config
         streams = self._streams
         src, dst = sample_src_dst(streams, config.network.node_count)
-        entry = config.catalog[sample_bitrate(streams.bitrate, config.catalog)]
-        routes = config.routes.routes_for(src, dst)
-        if not routes:
-            raise MissingRoutesError(f"no candidate routes for pair ({src}, {dst})")
+        index = sample_bitrate(streams.bitrate, config.catalog)
+        entry = config.catalog[index]
+        planned = self._plans.get((src, dst, index))
+        if planned is None:
+            routes = config.routes.routes_for(src, dst)
+            if not routes:
+                raise MissingRoutesError(
+                    f"no candidate routes for pair ({src}, {dst})")
+            planned = (routes, request_plan(config.network, routes, entry))
+            self._plans[src, dst, index] = planned
+        routes, plan = planned
         ctx = AllocationContext(config.network, src, dst, routes, entry,
                                 strict_audit=config.strict_audit)
+        ctx._plan = plan
         try:
             verdict = self._allocator(ctx)
         except AllocatorFaultError:

@@ -1,10 +1,14 @@
 """Physical network model: nodes, directed links, slot grids and candidate routes.
 
-A link owns a dense boolean occupancy grid (True = occupied) over its
-frequency slots.  All slot ranges in this package are half-open
-``[start, stop)`` with 0-based indices.  The grid is only ever mutated
-through :meth:`Link.occupy_slots` / :meth:`Link.release_slots`, both of
-which validate first and leave the grid untouched when they fail.
+A link owns the occupancy grid of its frequency slots as a Python ``int``
+bitmask: bit ``i`` is set when slot ``i`` is occupied.  Every range check,
+occupy and release is then one mask operation, and the joint grid of a
+route is the OR of its links' masks.  All slot ranges in this package are
+half-open ``[start, stop)`` with 0-based indices.  The grid is only ever
+mutated through :meth:`Link.occupy_slots` / :meth:`Link.release_slots`,
+both of which validate first and leave the grid untouched when they fail.
+:attr:`Link.occupancy` hands out the grid as a boolean ndarray snapshot;
+:func:`grid_to_mask` and :func:`mask_to_grid` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -29,10 +33,23 @@ class Node:
     id: int
 
 
+def grid_to_mask(grid: np.ndarray) -> int:
+    """Bitmask of a boolean grid: bit ``i`` is set when ``grid[i]`` is True."""
+    packed = np.packbits(np.asarray(grid, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def mask_to_grid(mask: int, slot_count: int) -> np.ndarray:
+    """Fresh boolean grid of ``slot_count`` slots from a bitmask."""
+    raw = np.frombuffer(mask.to_bytes((slot_count + 7) // 8, "little"),
+                        dtype=np.uint8)
+    return np.unpackbits(raw, count=slot_count, bitorder="little").astype(bool)
+
+
 class Link:
     """Directed fiber link with a frequency-slot occupancy grid."""
 
-    __slots__ = ("id", "src", "dst", "length_km", "_slots")
+    __slots__ = ("id", "src", "dst", "length_km", "_slot_count", "_mask")
 
     def __init__(self, id: int, src: int, dst: int, length_km: float, slot_count: int):
         if src == dst:
@@ -45,7 +62,8 @@ class Link:
         self.src = src
         self.dst = dst
         self.length_km = float(length_km)
-        self._slots = np.zeros(slot_count, dtype=bool)
+        self._slot_count = slot_count
+        self._mask = 0
 
     def __repr__(self):
         return (f"Link(id={self.id}, src={self.src}, dst={self.dst}, "
@@ -53,49 +71,52 @@ class Link:
 
     @property
     def slot_count(self) -> int:
-        return self._slots.shape[0]
+        return self._slot_count
 
     @property
     def occupancy(self) -> np.ndarray:
-        """Read-only view of the grid; True marks an occupied slot."""
-        view = self._slots.view()
-        view.flags.writeable = False
-        return view
+        """Read-only snapshot of the grid; True marks an occupied slot.
+
+        A fresh array on every read: it does not follow later changes.
+        """
+        grid = mask_to_grid(self._mask, self._slot_count)
+        grid.flags.writeable = False
+        return grid
 
     @property
     def occupied_count(self) -> int:
-        return int(self._slots.sum())
+        return self._mask.bit_count()
 
-    def _check_range(self, start: int, stop: int) -> None:
-        if not (0 <= start < stop <= self.slot_count):
+    def _range_bits(self, start: int, stop: int) -> int:
+        if not (0 <= start < stop <= self._slot_count):
             raise OutOfBoundsError(
-                f"slot range [{start}, {stop}) outside the {self.slot_count}-slot "
+                f"slot range [{start}, {stop}) outside the {self._slot_count}-slot "
                 f"grid of link {self.id}"
             )
+        return ((1 << (stop - start)) - 1) << start
 
     def occupy_slots(self, start: int, stop: int) -> None:
         """Mark ``[start, stop)`` occupied; every slot must currently be free."""
-        self._check_range(start, stop)
-        if self._slots[start:stop].any():
+        bits = self._range_bits(start, stop)
+        if self._mask & bits:
             raise AlreadyOccupiedError(
                 f"link {self.id}: range [{start}, {stop}) is not entirely free"
             )
-        self._slots[start:stop] = True
+        self._mask |= bits
 
     def release_slots(self, start: int, stop: int) -> None:
         """Free ``[start, stop)``; every slot must currently be occupied."""
-        self._check_range(start, stop)
-        if not self._slots[start:stop].all():
+        bits = self._range_bits(start, stop)
+        if self._mask & bits != bits:
             raise NotOccupiedError(
                 f"link {self.id}: range [{start}, {stop}) is not entirely occupied "
                 "(double release?)"
             )
-        self._slots[start:stop] = False
+        self._mask ^= bits
 
     def is_range_free(self, start: int, stop: int) -> bool:
         """True iff every slot in ``[start, stop)`` is free.  No mutation."""
-        self._check_range(start, stop)
-        return not self._slots[start:stop].any()
+        return not self._mask & self._range_bits(start, stop)
 
 
 class Network:

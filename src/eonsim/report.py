@@ -91,7 +91,7 @@ class SimulationReport:
 
 
 def _sweep_worker(config, arrival_rate: float, algorithm_name: str,
-                  progress_every: int | None) -> tuple[float, float]:
+                  progress_every: int | None) -> SimulationReport:
     # Local import: the engine module imports this one.
     import sys
 
@@ -108,19 +108,18 @@ def _sweep_worker(config, arrival_rate: float, algorithm_name: str,
                           progress_every=progress_every,
                           out=sys.stdout if progress_every else None)
     simulator.init()
-    report = simulator.run()
-    return arrival_rate, report.blocking_probability
+    return simulator.run()
 
 
-def run_sweep(config, lambdas, algorithm_name: str, *,
-              workers: int = 1,
-              progress_every: int | None = None) -> list[tuple[float, float]]:
+def sweep_reports(config, lambdas, algorithm_name: str, *,
+                  workers: int = 1,
+                  progress_every: int | None = None) -> list[SimulationReport]:
     """One independent simulation per arrival rate, same seeds each time.
 
-    Returns ``(erlang, blocking_probability)`` pairs ordered by increasing
-    load.  Each run gets a fresh copy of the network, so runs share no
-    mutable state and ``workers > 1`` executes them in parallel processes
-    without changing the results.
+    Returns the report of every run, ordered by increasing load.  Each run
+    gets a fresh copy of the network, so runs share no mutable state and
+    ``workers > 1`` executes them in parallel processes without changing
+    the results.
     """
     from .algorithms import ALGORITHMS
 
@@ -132,27 +131,34 @@ def run_sweep(config, lambdas, algorithm_name: str, *,
     rates = sorted(float(lam) for lam in lambdas)
     if not rates:
         raise ValueError("at least one arrival rate is required")
-    results: dict[float, float] = {}
+    reports: dict[float, SimulationReport] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_worker, config, lam, algorithm_name,
                                    progress_every): lam for lam in rates}
             for future, lam in futures.items():
                 try:
-                    rate, blocking = future.result()
+                    reports[lam] = future.result()
                 except EonSimError as err:
                     raise EonSimError(f"sweep run at lambda={lam:g} failed: {err}") from err
-                results[rate] = blocking
     else:
         for lam in rates:
             try:
-                rate, blocking = _sweep_worker(config, lam, algorithm_name,
-                                               progress_every)
+                reports[lam] = _sweep_worker(config, lam, algorithm_name,
+                                             progress_every)
             except EonSimError as err:
                 raise EonSimError(f"sweep run at lambda={lam:g} failed: {err}") from err
-            results[rate] = blocking
-    mu = config.profile.departure_rate
-    return [(lam / mu, results[lam]) for lam in rates]
+    return [reports[lam] for lam in rates]
+
+
+def run_sweep(config, lambdas, algorithm_name: str, *,
+              workers: int = 1,
+              progress_every: int | None = None) -> list[tuple[float, float]]:
+    """:func:`sweep_reports` as ``(erlang, blocking_probability)`` pairs."""
+    return [(report.erlang, report.blocking_probability)
+            for report in sweep_reports(config, lambdas, algorithm_name,
+                                        workers=workers,
+                                        progress_every=progress_every)]
 
 
 def write_dat(results, path) -> None:

@@ -134,19 +134,39 @@ class TestExactFreeBlock:
 
 
 class TestOracleEquivalence:
+    @staticmethod
+    def assert_kernels_match(cells, size):
+        occ = np.array(cells, dtype=bool)
+        for high in (False, True):
+            got = first_free_block(occ, size, HIGH if high else LOW)
+            expected = brute_first(cells, size, high)
+            assert (got.start if got else None) == expected, (cells, size, high)
+        got_exact = exact_free_block(occ, size)
+        assert ((got_exact.start if got_exact else None)
+                == brute_exact(cells, size)), (cells, size)
+
     def test_random_grids_match_brute_force(self):
         rng = random.Random(2024)
         for _ in range(1_000):
             n = rng.randint(1, 16)
             cells = [rng.random() < rng.choice((0.2, 0.5, 0.8)) for _ in range(n)]
-            size = rng.randint(1, n)
-            occ = np.array(cells, dtype=bool)
-            for high in (False, True):
-                got = first_free_block(occ, size, HIGH if high else LOW)
-                expected = brute_first(cells, size, high)
-                assert (got.start if got else None) == expected, (cells, size, high)
-            got_exact = exact_free_block(occ, size)
-            assert (got_exact.start if got_exact else None) == brute_exact(cells, size)
+            self.assert_kernels_match(cells, rng.randint(1, n))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 320])
+    def test_word_boundary_grids_match_brute_force(self, n):
+        # Grids whose free runs end at bit 63/64/65, 127/128/129 or at the
+        # top of a 320-slot grid, where a mask shift or width can slip by one.
+        rng = random.Random(n)
+        grids = [[False] * n, [True] * n]
+        for k in (1, 2, n // 2, n - 1):
+            grids.append([i < n - k for i in range(n)])   # only the top k free
+            grids.append([i >= k for i in range(n)])      # only the bottom k free
+        for _ in range(60):
+            density = rng.choice((0.05, 0.2, 0.5, 0.8))
+            grids.append([rng.random() < density for _ in range(n)])
+        for cells in grids:
+            for size in sorted({1, 2, 3, 31, 32, 33, 63, 64, 65, n - 1, n, n + 1}):
+                self.assert_kernels_match(cells, size)
 
 
 class TestModulationOptions:
@@ -220,6 +240,78 @@ class TestFirstFit:
         ctx = make_ctx(net, routes, 0, 1, catalog[0])
         assert first_fit(ctx) is ALLOCATED
         assert set(ctx.staged) == {(1, 0, 4), (2, 0, 4)}
+
+
+class TestSearchAgainstBruteForce:
+    """The bundled search against a per-option brute force over live grids."""
+
+    @staticmethod
+    def brute_search(ctx, pick):
+        for route in range(ctx.route_count()):
+            links = [ctx.link_in_route(route, i)
+                     for i in range(ctx.link_count_in_route(route))]
+            cells = list(np.logical_or.reduce([view.occupancy for view in links]))
+            for option in range(ctx.option_count()):
+                if ctx.request_reach_km(option) < ctx.route_length_km(route):
+                    continue
+                size = ctx.request_slots(option)
+                start = pick(cells, size)
+                if start is not None:
+                    return {(view.id, start, start + size) for view in links}
+        return None
+
+    @staticmethod
+    def fragment(network, rng):
+        for link in network.links:
+            for _ in range(rng.randint(0, 40)):
+                start = rng.randrange(link.slot_count)
+                stop = min(link.slot_count, start + rng.randint(1, 12))
+                if link.is_range_free(start, stop):
+                    link.occupy_slots(start, stop)
+
+    def test_repeated_widths_match_per_option_search(self, nsfnet, nsfnet_routes,
+                                                     table_catalog):
+        # The bundled catalog repeats widths (10 Gbps is 1 slot under all six
+        # modulations), which the search tries once per distinct width.
+        assert any(len({o.slot_count for o in entry.options}) < len(entry.options)
+                   for entry in table_catalog)
+
+        def exact_then_first(cells, size):
+            start = brute_exact(cells, size)
+            return brute_first(cells, size) if start is None else start
+
+        rng = random.Random(5)
+        pairs = list(nsfnet_routes.pairs())
+        for _ in range(30):
+            network = nsfnet.fresh_copy()
+            self.fragment(network, rng)
+            for _ in range(10):
+                src, dst = rng.choice(pairs)
+                entry = rng.choice(table_catalog.entries)
+                high = entry.bitrate_gbps >= 100.0
+                pickers = {
+                    first_fit: brute_first,
+                    exact_fit: exact_then_first,
+                    first_last_fit: lambda cells, size: brute_first(cells, size, high),
+                }
+                for algorithm, pick in pickers.items():
+                    ctx = make_ctx(network, nsfnet_routes, src, dst, entry)
+                    verdict = algorithm(ctx)
+                    expected = self.brute_search(ctx, pick)
+                    if expected is None:
+                        assert verdict is NOT_ALLOCATED
+                    else:
+                        assert verdict is ALLOCATED
+                        assert set(ctx.staged) == expected
+
+    def test_mixed_slot_counts_raise_when_searched(self, one_slot_catalog):
+        net = eonsim.Network.build("mixed", 3,
+                                   [(0, 1, 1.0, 8), (1, 2, 1.0, 16)])
+        routes = eonsim.RouteSet()
+        routes.add_node_path(net, [0, 1, 2])
+        ctx = make_ctx(net, routes, 0, 2, one_slot_catalog[0])
+        with pytest.raises(HeterogeneousSlotCountsError, match=r"\[8, 16\]"):
+            first_fit(ctx)
 
 
 class TestExactFit:

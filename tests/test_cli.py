@@ -67,6 +67,19 @@ def test_per_bitrate_flag(tmp_path, capsys):
     assert "bitrate=" in capsys.readouterr().out
 
 
+def test_per_bitrate_lines_do_not_depend_on_workers(tmp_path, capsys):
+    outputs = {}
+    for workers in ("1", "2"):
+        code, out = run_cli(tmp_path, "--per-bitrate", "--workers", workers,
+                            out_name=f"w{workers}.dat")
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("bitrate=")]
+        outputs[workers] = (lines, out.read_bytes())
+    assert len(outputs["1"][0]) == 10  # 5 bitrates x 2 loads
+    assert outputs["1"] == outputs["2"]
+
+
 def test_workers_flag_matches_serial(tmp_path):
     _, serial = run_cli(tmp_path, out_name="serial.dat")
     _, parallel = run_cli(tmp_path, "--workers", "2", out_name="parallel.dat")
