@@ -259,7 +259,11 @@ class AllocationContext:
         Bounds are checked now, as is overlap with ranges already staged on
         the same link.
         """
-        link = self._network.link(link_id)
+        links = self._network.links
+        if 0 <= link_id < len(links):
+            link = links[link_id]
+        else:
+            link = self._network.link(link_id)  # raises NoSuchLinkError
         if not (0 <= start < stop <= link.slot_count):
             raise OutOfBoundsError(
                 f"staged range [{start}, {stop}) outside the "
@@ -289,19 +293,23 @@ class AllocationContext:
         if self.strict_audit and self._staged:
             self._audit()
         links = self._network.links
-        occupied: list[tuple[int, int, int]] = []
-        try:
-            for link_id, start, stop in self._staged:
-                links[link_id].occupy_slots(start, stop)
-                occupied.append((link_id, start, stop))
-        except AlreadyOccupiedError as err:
-            for link_id, start, stop in occupied:
-                links[link_id].release_slots(start, stop)
-            raise CommitConflictError(
-                f"staged range is no longer free at commit time: {err}"
-            ) from err
-        holdings = tuple(self._staged)
-        self._staged.clear()
+        staged = self._staged
+        # Bounds were checked at staging and staged ranges on one link never
+        # overlap, so testing every range against the live masks before
+        # setting any makes the commit all-or-nothing.
+        for link_id, start, stop in staged:
+            link = links[link_id]
+            if link._mask & (((1 << (stop - start)) - 1) << start):
+                try:
+                    link.occupy_slots(start, stop)  # refuses, touching nothing
+                except AlreadyOccupiedError as err:
+                    raise CommitConflictError(
+                        f"staged range is no longer free at commit time: {err}"
+                    ) from err
+        for link_id, start, stop in staged:
+            links[link_id]._mask |= ((1 << (stop - start)) - 1) << start
+        holdings = tuple(staged)
+        staged.clear()
         return holdings
 
     def _audit(self) -> None:
@@ -310,8 +318,10 @@ class AllocationContext:
         # both constraints hold.
         staged = self._staged
         _, first_start, first_stop = staged[0]
-        if all(start == first_start and stop == first_stop
-               for _, start, stop in staged):
+        for _, start, stop in staged:
+            if start != first_start or stop != first_stop:
+                break
+        else:
             return
         per_link: dict[int, list[tuple[int, int]]] = {}
         for link_id, start, stop in staged:

@@ -71,6 +71,10 @@ def main(argv=None) -> int:
     if not lambdas:
         print("eonsim: --lambda needs at least one rate", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print(f"eonsim: --workers must be at least 1, got {args.workers}",
+              file=sys.stderr)
+        return 2
     progress = args.progress
     if progress is None:
         progress = max(1, args.goal // 10)

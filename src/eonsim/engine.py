@@ -6,11 +6,18 @@ competing request is evaluated, so tie handling never inflates blocking.
 One arrival is pending at any moment; processing it schedules the next one
 until the configured number of requests has been dispatched, after which
 the remaining departures drain and every grid ends all-free.
+
+The queue holds plain ``(time, kind, event_id, connection_id)`` tuples,
+the field order of :class:`Event`; an event listener receives an
+:class:`Event` view built for it.  Live connections are kept as
+``(holdings, departure_time)`` pairs; :attr:`Simulator.live_connections`
+is a snapshot of :class:`ConnectionRecord` objects built on each read.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time as _time
 from dataclasses import dataclass
 from enum import IntEnum
@@ -27,7 +34,7 @@ from .errors import (
     TimeInPastError,
     UnknownConnectionError,
 )
-from .network import Network, RouteSet
+from .network import Link, Network, RouteSet
 from .report import SimulationReport
 from .traffic import (
     BitRateCatalog,
@@ -86,6 +93,11 @@ class Simulator:
 
     The configuration is frozen; the allocator can only be (re)assigned
     before :meth:`init`.  A simulator instance performs exactly one run.
+
+    Queued events are plain ``(time, kind, event_id, connection_id)``
+    tuples; ``event_listener`` is called after each event with an
+    :class:`Event` view of it.  :attr:`live_connections` is a snapshot
+    built on read, not a live view.
     """
 
     def __init__(self, config: SimulatorConfig,
@@ -105,10 +117,11 @@ class Simulator:
         self._initialized = False
         self._finished = False
         self._clock = 0.0
-        self._queue: list[Event] = []
-        self._live: dict[int, ConnectionRecord] = {}
-        self._next_event_id = 0
-        self._next_connection_id = 0
+        self._queue: list[tuple] = []
+        # connection id -> (holdings, departure time)
+        self._live: dict[int, tuple[tuple[tuple[int, int, int], ...], float]] = {}
+        self._event_ids = itertools.count()
+        self._connection_ids = itertools.count()
         self._arrivals_dispatched = 0
         self._report: SimulationReport | None = None
         # (src, dst, bitrate index) -> (routes, search plan), filled on first use.
@@ -167,7 +180,8 @@ class Simulator:
 
     @property
     def live_connections(self) -> dict[int, ConnectionRecord]:
-        return dict(self._live)
+        return {connection_id: ConnectionRecord(connection_id, holdings, departs)
+                for connection_id, (holdings, departs) in self._live.items()}
 
     @property
     def report(self) -> SimulationReport | None:
@@ -200,21 +214,14 @@ class Simulator:
             strict_audit=config.strict_audit,
         )
         first = next_exponential(self._streams.arrival, config.profile.arrival_rate)
-        self.schedule_event(self._new_event(first, EventKind.ARRIVAL))
+        self.schedule_event(Event(first, EventKind.ARRIVAL, next(self._event_ids)))
         self._initialized = True
 
     def schedule_event(self, event: Event) -> None:
         """Insert an event; its time must not precede the current clock."""
         if event.time < self._clock:
-            raise TimeInPastError(
-                f"event at t={event.time} is before the clock t={self._clock}")
+            raise _time_in_past(event.time, self._clock)
         heapq.heappush(self._queue, event)
-
-    def _new_event(self, at: float, kind: EventKind,
-                   connection_id: int | None = None) -> Event:
-        event = Event(at, kind, self._next_event_id, connection_id)
-        self._next_event_id += 1
-        return event
 
     def run(self) -> SimulationReport:
         """Process events until the request goal is met and departures drain."""
@@ -222,90 +229,110 @@ class Simulator:
             raise NotInitializedError("call init() before run()")
         if self._finished:
             return self._report
-        out = self._out
+        config = self._config
+        network = config.network
+        links = network.links
+        node_count = network.node_count
+        catalog = config.catalog
+        strict_audit = config.strict_audit
+        arrival_rate = config.profile.arrival_rate
+        departure_rate = config.profile.departure_rate
+        goal = config.profile.goal_connections
+        streams = self._streams
+        arrival_stream = streams.arrival
+        departure_stream = streams.departure
+        bitrate_stream = streams.bitrate
+        # Layer entry points are looked up per run, not per module import, so
+        # that a rebinding made before run() (tests, tracing) takes effect.
+        push = heapq.heappush
+        pop = heapq.heappop
+        draw_src_dst = sample_src_dst
+        draw_bitrate = sample_bitrate
+        draw_exponential = next_exponential
+        release = Link.release_slots
         report = self._report
+        record_outcome = report.record_outcome
+        allocator = self._allocator
+        plans = self._plans
+        live = self._live
+        queue = self._queue
+        event_ids = self._event_ids
+        connection_ids = self._connection_ids
+        arrival = EventKind.ARRIVAL
+        departure = EventKind.DEPARTURE
+        out = self._out
         progress_every = self._progress_every
         listener = self._event_listener
         if out is not None:
             print(report.header_line(), file=out)
         started = _time.perf_counter()
-        queue = self._queue
         while queue:
-            event = heapq.heappop(queue)
-            self._clock = event.time
-            if event.kind is EventKind.ARRIVAL:
-                self._process_arrival()
+            clock, kind, event_id, connection_id = pop(queue)
+            self._clock = clock
+            if kind is arrival:
+                src, dst = draw_src_dst(streams, node_count)
+                index = draw_bitrate(bitrate_stream, catalog)
+                entry = catalog[index]
+                planned = plans.get((src, dst, index))
+                if planned is None:
+                    routes = config.routes.routes_for(src, dst)
+                    if not routes:
+                        raise MissingRoutesError(
+                            f"no candidate routes for pair ({src}, {dst})")
+                    planned = (routes, request_plan(network, routes, entry))
+                    plans[src, dst, index] = planned
+                routes, plan = planned
+                ctx = AllocationContext(network, src, dst, routes, entry,
+                                        strict_audit=strict_audit)
+                ctx._plan = plan
+                try:
+                    verdict = allocator(ctx)
+                except AllocatorFaultError:
+                    raise
+                except Exception as err:
+                    raise AllocatorFaultError(
+                        f"allocator {self._algorithm_name!r} raised "
+                        f"{type(err).__name__}: {err}") from err
+                if verdict is ALLOCATED:
+                    holdings = ctx.commit_staged()
+                    departs = clock + draw_exponential(departure_stream,
+                                                       departure_rate)
+                    held_by = next(connection_ids)
+                    live[held_by] = (holdings, departs)
+                    if departs < clock:
+                        raise _time_in_past(departs, clock)
+                    push(queue, (departs, departure, next(event_ids), held_by))
+                elif verdict is NOT_ALLOCATED:
+                    ctx.discard_staged()
+                else:
+                    raise AllocatorFaultError(
+                        f"allocator {self._algorithm_name!r} returned {verdict!r} "
+                        "instead of ALLOCATED or NOT_ALLOCATED")
+                record_outcome(verdict, entry.label)
+                self._arrivals_dispatched += 1
+                if self._arrivals_dispatched < goal:
+                    arrives = clock + draw_exponential(arrival_stream, arrival_rate)
+                    if arrives < clock:
+                        raise _time_in_past(arrives, clock)
+                    push(queue, (arrives, arrival, next(event_ids), None))
                 if (out is not None and progress_every
                         and report.processed % progress_every == 0):
                     print(report.progress_line(), file=out)
             else:
-                self._process_departure(event.connection_id)
+                held = live.pop(connection_id, None)
+                if held is None:
+                    raise UnknownConnectionError(
+                        f"departure for unknown connection {connection_id}")
+                for link_id, start, stop in held[0]:
+                    release(links[link_id], start, stop)
             if listener is not None:
-                listener(self, event)
+                listener(self, Event(clock, kind, event_id, connection_id))
         report.wall_clock_seconds = _time.perf_counter() - started
         if out is not None:
             print(report.summary_line(), file=out)
         self._finished = True
         return report
 
-    # -- event handlers -----------------------------------------------------
 
-    def _process_arrival(self) -> None:
-        config = self._config
-        streams = self._streams
-        src, dst = sample_src_dst(streams, config.network.node_count)
-        index = sample_bitrate(streams.bitrate, config.catalog)
-        entry = config.catalog[index]
-        planned = self._plans.get((src, dst, index))
-        if planned is None:
-            routes = config.routes.routes_for(src, dst)
-            if not routes:
-                raise MissingRoutesError(
-                    f"no candidate routes for pair ({src}, {dst})")
-            planned = (routes, request_plan(config.network, routes, entry))
-            self._plans[src, dst, index] = planned
-        routes, plan = planned
-        ctx = AllocationContext(config.network, src, dst, routes, entry,
-                                strict_audit=config.strict_audit)
-        ctx._plan = plan
-        try:
-            verdict = self._allocator(ctx)
-        except AllocatorFaultError:
-            raise
-        except Exception as err:
-            raise AllocatorFaultError(
-                f"allocator {self._algorithm_name!r} raised "
-                f"{type(err).__name__}: {err}") from err
-        if verdict is ALLOCATED:
-            holdings = ctx.commit_staged()
-            holding_time = next_exponential(streams.departure,
-                                            config.profile.departure_rate)
-            connection_id = self._next_connection_id
-            self._next_connection_id += 1
-            record = ConnectionRecord(connection_id, holdings,
-                                      self._clock + holding_time)
-            self._live[connection_id] = record
-            self.schedule_event(self._new_event(record.departure_time,
-                                                EventKind.DEPARTURE,
-                                                connection_id))
-        elif verdict is NOT_ALLOCATED:
-            ctx.discard_staged()
-        else:
-            raise AllocatorFaultError(
-                f"allocator {self._algorithm_name!r} returned {verdict!r} "
-                "instead of ALLOCATED or NOT_ALLOCATED")
-        self._report.record_outcome(verdict, entry.label)
-        self._arrivals_dispatched += 1
-        if self._arrivals_dispatched < config.profile.goal_connections:
-            delta = next_exponential(streams.arrival, config.profile.arrival_rate)
-            self.schedule_event(self._new_event(self._clock + delta,
-                                                EventKind.ARRIVAL))
-
-    def _process_departure(self, connection_id: int) -> None:
-        record = self._live.pop(connection_id, None)
-        if record is None:
-            raise UnknownConnectionError(
-                f"departure for unknown connection {connection_id}")
-        links = self._config.network.links
-        for link_id, start, stop in record.holdings:
-            links[link_id].release_slots(start, stop)
+def _time_in_past(at: float, clock: float) -> TimeInPastError:
+    return TimeInPastError(f"event at t={at} is before the clock t={clock}")

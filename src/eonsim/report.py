@@ -119,7 +119,7 @@ def sweep_reports(config, lambdas, algorithm_name: str, *,
     Returns the report of every run, ordered by increasing load.  Each run
     gets a fresh copy of the network, so runs share no mutable state and
     ``workers > 1`` executes them in parallel processes without changing
-    the results.
+    the results; ``workers`` below 1 raises :class:`ValueError`.
     """
     from .algorithms import ALGORITHMS
 
@@ -131,6 +131,8 @@ def sweep_reports(config, lambdas, algorithm_name: str, *,
     rates = sorted(float(lam) for lam in lambdas)
     if not rates:
         raise ValueError("at least one arrival rate is required")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     reports: dict[float, SimulationReport] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

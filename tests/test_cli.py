@@ -95,6 +95,14 @@ def test_bad_lambda_csv(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    code, out = run_cli(tmp_path, "--workers", workers)
+    assert code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_algorithm_rejected_by_parser(tmp_path):
     out = tmp_path / "run.dat"
     with pytest.raises(SystemExit):

@@ -19,6 +19,7 @@ from eonsim import (
 from eonsim.errors import (
     AllocatorFaultError,
     AlreadyInitializedError,
+    AlreadyOccupiedError,
     CommitConflictError,
     InvalidConfigError,
     MissingRoutesError,
@@ -400,3 +401,80 @@ class TestFromFiles:
                                    data.data_path("nsfnet_routes_k3.json"))
         assert (serialize_bit_rates(sim.config.catalog)
                 == serialize_bit_rates(data.load_bit_rates()))
+
+
+class TestLifecycleViews:
+    def test_listener_sees_events_and_live_connections_see_records(
+            self, nsfnet, nsfnet_routes, table_catalog):
+        committed = []
+        seen = set()
+        live_seen = 0
+
+        def recording_first_fit(ctx):
+            verdict = first_fit(ctx)
+            if verdict is ALLOCATED:
+                committed.append(ctx.staged)  # index = connection id
+            return verdict
+
+        def listener(sim, event):
+            nonlocal live_seen
+            assert isinstance(event, Event)
+            assert isinstance(event.kind, EventKind)
+            seen.add((event.kind, event.event_id))
+            for connection_id, record in sim.live_connections.items():
+                assert isinstance(record, eonsim.ConnectionRecord)
+                assert record.connection_id == connection_id
+                assert record.holdings == committed[connection_id]
+                assert record.departure_time >= sim.clock
+                live_seen += 1
+
+        config = SimulatorConfig(
+            network=nsfnet, routes=nsfnet_routes, catalog=table_catalog,
+            profile=TrafficProfile(arrival_rate=180, departure_rate=10,
+                                   goal_connections=300))
+        sim = Simulator(config, recording_first_fit, event_listener=listener)
+        sim.init()
+        sim.schedule_event(Event(0.0, EventKind.ARRIVAL, 10_000))
+        sim.run()
+        assert (EventKind.ARRIVAL, 10_000) in seen
+        assert {kind for kind, _ in seen} == set(EventKind)
+        assert live_seen > 0
+        assert not sim.live_connections
+
+    @pytest.mark.parametrize("negative_rate", [3.0, 10.0],
+                             ids=["arrival", "departure"])
+    def test_negative_draw_during_run_is_rejected(self, pair_config,
+                                                  monkeypatch, negative_rate):
+        # Only the draws at the given rate (lambda=3 for the next arrival,
+        # mu=10 for a holding time) go negative, so each scheduling path
+        # must refuse an event before the clock on its own.
+        sim = Simulator(pair_config(goal=5, lam=3.0, mu=10.0), take_first_slot)
+        sim.init()
+        monkeypatch.setattr(
+            eonsim.engine, "next_exponential",
+            lambda stream, rate: -1.0 if rate == negative_rate else 1.0)
+        with pytest.raises(TimeInPastError, match="is before the clock"):
+            sim.run()
+
+
+class TestCommitWithoutRollback:
+    def test_conflict_on_last_range_touches_no_grid(self, chain_net,
+                                                    chain_routes,
+                                                    one_slot_catalog):
+        chain_net.links[3].occupy_slots(3, 4)  # a live connection
+        before = [link.occupancy.copy() for link in chain_net.links]
+        ctx = eonsim.AllocationContext(
+            chain_net, 0, 2, chain_routes.routes_for(0, 2),
+            one_slot_catalog[0], strict_audit=False)
+        ctx.alloc_slots(0, 0, 2)
+        ctx.alloc_slots(2, 2, 5)
+        ctx.alloc_slots(3, 0, 4)
+        with pytest.raises(CommitConflictError) as excinfo:
+            ctx.commit_staged()
+        assert str(excinfo.value) == (
+            "staged range is no longer free at commit time: "
+            "link 3: range [0, 4) is not entirely free")
+        assert isinstance(excinfo.value.__cause__, AlreadyOccupiedError)
+        for link, snapshot in zip(chain_net.links, before):
+            assert np.array_equal(link.occupancy, snapshot)
+        assert ctx.staged == ((0, 0, 2), (2, 2, 5), (3, 0, 4))

@@ -12,6 +12,7 @@ from eonsim import (
     write_dat,
 )
 from eonsim.errors import EonSimError
+from eonsim.report import sweep_reports
 
 
 def make_report(**kwargs):
@@ -160,3 +161,8 @@ class TestRunSweep:
     def test_empty_lambda_list(self, base_config):
         with pytest.raises(ValueError):
             run_sweep(base_config, [], "FF")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, base_config, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_reports(base_config, [18], "FF", workers=workers)
