@@ -12,7 +12,8 @@ construction.
 Grids are ``int`` bitmasks (see :mod:`eonsim.network`), and the search
 reads the request's memoised plan (:class:`~eonsim.allocation.RoutePlan`)
 and the link masks directly.  Windows of ``size`` free slots are found by
-shift-AND; a low-to-high search takes the lowest window start, a
+shift-AND over the width's shift schedule, which the plan carries
+precomputed; a low-to-high search takes the lowest window start, a
 high-to-low search the highest, and exact fit first looks for the lowest
 window that is a whole free run.
 The public kernels :func:`intersection_grid`, :func:`first_free_block` and
@@ -33,6 +34,7 @@ from .allocation import (
     AllocationContext,
     RoutePlan,
     Verdict,
+    _shift_schedule,
 )
 from .errors import HeterogeneousSlotCountsError
 from .network import grid_to_mask, mask_to_grid
@@ -57,15 +59,14 @@ class FreeBlock:
 
 # -- mask kernels ---------------------------------------------------------------
 
-def _window_starts(free: int, size: int) -> int:
-    """Mask of every ``i`` such that bits ``i .. i+size-1`` of ``free`` are set."""
-    starts = free
-    width = 1
-    while width < size and starts:
-        step = min(width, size - width)
-        starts &= starts >> step
-        width += step
-    return starts
+def _window_starts(free: int, steps: tuple[int, ...]) -> int:
+    """Mask of every ``i`` such that bits ``i .. i+size-1`` of ``free`` are set.
+
+    ``steps`` is the shift schedule of ``size`` (see ``_shift_schedule``).
+    """
+    for step in steps:
+        free &= free >> step
+    return free
 
 
 def _exact_starts(free: int, size: int, windows: int) -> int:
@@ -122,7 +123,7 @@ def first_free_block(grid: np.ndarray, size: int,
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    starts = _window_starts(_free_mask(grid), size)
+    starts = _window_starts(_free_mask(grid), _shift_schedule(size))
     if not starts:
         return None
     if direction is SearchDirection.LOW_TO_HIGH:
@@ -141,7 +142,7 @@ def exact_free_block(grid: np.ndarray, size: int) -> FreeBlock | None:
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
     free = _free_mask(grid)
-    starts = _exact_starts(free, size, _window_starts(free, size))
+    starts = _exact_starts(free, size, _window_starts(free, _shift_schedule(size)))
     if not starts:
         return None
     start = _lowest(starts)
@@ -165,11 +166,11 @@ def _search_routes(ctx: AllocationContext, direction: SearchDirection,
     high_to_low = direction is SearchDirection.HIGH_TO_LOW
     links = ctx._network.links
     for route, plan in enumerate(ctx._search_plan()):
-        if not plan.widths:
+        if not plan.schedules:
             continue
         free = plan.all_slots ^ _route_occupied(route, plan, links)
-        for size in plan.widths:
-            windows = _window_starts(free, size)
+        for size, steps in plan.schedules:
+            windows = _window_starts(free, steps)
             if not windows:
                 continue
             exact = _exact_starts(free, size, windows) if exact_first else 0

@@ -31,10 +31,16 @@ With strict auditing enabled (the default), commits additionally enforce the
 two defining spectrum constraints: the staged slots on each link must form
 one contiguous block, and every link of the connection must use the same
 slot interval.
+
+The bundled search reads a precomputed :class:`RoutePlan` per candidate
+route: link ids, the distinct admissible slot widths with their shift
+schedules, and the all-slots mask.  The engine builds the plans of each
+(source, destination, bitrate) on first use in a run.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import NamedTuple
 
@@ -122,13 +128,37 @@ class LinkView:
         return f"LinkView({self._link!r})"
 
 
+def _shift_schedule(size: int) -> tuple[int, ...]:
+    """Right shifts whose successive ANDs turn a free mask into window starts.
+
+    After ``mask &= mask >> step`` for every step, bit ``i`` is set exactly
+    when bits ``i .. i+size-1`` of the original mask were: each step extends
+    the run every set bit vouches for by ``step`` slots, doubling it until
+    the remainder is shorter than the run so far.
+    """
+    steps = []
+    width = 1
+    while width < size:
+        step = min(width, size - width)
+        steps.append(step)
+        width += step
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=None)
+def _width_schedules(widths: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # One shared tuple per distinct widths tuple, so the plans of a run
+    # (910 for NSFNet and the full catalog) hold no copies of it.
+    return tuple((width, _shift_schedule(width)) for width in widths)
+
+
 class RoutePlan(NamedTuple):
     """What the bundled search needs of one candidate route for one request."""
 
     link_ids: tuple[int, ...]
-    #: Distinct slot widths of the options whose reach covers the route,
-    #: in option trial order.
-    widths: tuple[int, ...]
+    #: ``(width, _shift_schedule(width))`` per distinct slot width of the
+    #: options whose reach covers the route, in option trial order.
+    schedules: tuple[tuple[int, tuple[int, ...]], ...]
     #: Mask with every slot of the route's grid set; 0 when the route's
     #: links differ in slot count.
     all_slots: int
@@ -138,8 +168,9 @@ def request_plan(network: Network, routes: tuple[Route, ...],
                  request: BitRateEntry) -> tuple[RoutePlan, ...]:
     """One :class:`RoutePlan` per candidate route, in retry order.
 
-    A pure function of the routes and the bitrate entry, so the engine
-    builds it once per (source, destination, bitrate) and reuses it.
+    A pure function of the routes, the bitrate entry and the slot counts of
+    the routes' links, so the engine builds it once per (source,
+    destination, bitrate) in a run and reuses it.
     """
     plans = []
     for route in routes:
@@ -150,7 +181,8 @@ def request_plan(network: Network, routes: tuple[Route, ...],
                 widths.append(option.slot_count)
         counts = {network.links[lid].slot_count for lid in route.link_ids}
         all_slots = (1 << counts.pop()) - 1 if len(counts) == 1 else 0
-        plans.append(RoutePlan(route.link_ids, tuple(widths), all_slots))
+        plans.append(RoutePlan(route.link_ids, _width_schedules(tuple(widths)),
+                               all_slots))
     return tuple(plans)
 
 
@@ -264,10 +296,10 @@ class AllocationContext:
             link = links[link_id]
         else:
             link = self._network.link(link_id)  # raises NoSuchLinkError
-        if not (0 <= start < stop <= link.slot_count):
+        if not (0 <= start < stop <= link._slot_count):
             raise OutOfBoundsError(
                 f"staged range [{start}, {stop}) outside the "
-                f"{link.slot_count}-slot grid of link {link_id}"
+                f"{link._slot_count}-slot grid of link {link_id}"
             )
         for other_id, other_start, other_stop in self._staged:
             if other_id == link_id and start < other_stop and other_start < stop:

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip contiguity/continuity audits at commit")
     parser.add_argument("--progress", type=int, metavar="N",
                         help="progress line every N requests "
-                             "(default goal/10, 0 disables)")
+                             "(default goal/10, 0 disables, below 0 is an error)")
     parser.add_argument("--per-bitrate", action="store_true",
                         help="also print per-bitrate blocking counters")
     parser.add_argument("--workers", type=int, default=1, metavar="W",
@@ -75,10 +75,14 @@ def main(argv=None) -> int:
         print(f"eonsim: --workers must be at least 1, got {args.workers}",
               file=sys.stderr)
         return 2
+    if args.progress is not None and args.progress < 0:
+        print(f"eonsim: --progress must be at least 0, got {args.progress}",
+              file=sys.stderr)
+        return 2
     progress = args.progress
     if progress is None:
         progress = max(1, args.goal // 10)
-    elif progress <= 0:
+    elif progress == 0:
         progress = None
     try:
         network = load_network(args.network)

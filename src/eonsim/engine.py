@@ -12,6 +12,12 @@ the field order of :class:`Event`; an event listener receives an
 :class:`Event` view built for it.  Live connections are kept as
 ``(holdings, departure_time)`` pairs; :attr:`Simulator.live_connections`
 is a snapshot of :class:`ConnectionRecord` objects built on each read.
+
+Request plans (candidate routes, the bitrate entry and what the bundled
+search needs of them, see :func:`~eonsim.allocation.request_plan`) are
+built during :meth:`Simulator.run` on the first request for each (source,
+destination, bitrate) and reused for the rest of the run, never in
+:meth:`Simulator.init`.
 """
 
 from __future__ import annotations
@@ -124,7 +130,8 @@ class Simulator:
         self._connection_ids = itertools.count()
         self._arrivals_dispatched = 0
         self._report: SimulationReport | None = None
-        # (src, dst, bitrate index) -> (routes, search plan), filled on first use.
+        # (src, dst, bitrate index) -> (routes, search plan, bitrate entry),
+        # filled on first use.
         self._plans: dict[tuple[int, int, int], tuple] = {}
 
     # -- wiring ------------------------------------------------------------
@@ -272,16 +279,16 @@ class Simulator:
             if kind is arrival:
                 src, dst = draw_src_dst(streams, node_count)
                 index = draw_bitrate(bitrate_stream, catalog)
-                entry = catalog[index]
                 planned = plans.get((src, dst, index))
                 if planned is None:
                     routes = config.routes.routes_for(src, dst)
                     if not routes:
                         raise MissingRoutesError(
                             f"no candidate routes for pair ({src}, {dst})")
-                    planned = (routes, request_plan(network, routes, entry))
+                    entry = catalog[index]
+                    planned = (routes, request_plan(network, routes, entry), entry)
                     plans[src, dst, index] = planned
-                routes, plan = planned
+                routes, plan, entry = planned
                 ctx = AllocationContext(network, src, dst, routes, entry,
                                         strict_audit=strict_audit)
                 ctx._plan = plan

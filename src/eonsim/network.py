@@ -87,17 +87,17 @@ class Link:
     def occupied_count(self) -> int:
         return self._mask.bit_count()
 
-    def _range_bits(self, start: int, stop: int) -> int:
-        if not (0 <= start < stop <= self._slot_count):
-            raise OutOfBoundsError(
-                f"slot range [{start}, {stop}) outside the {self._slot_count}-slot "
-                f"grid of link {self.id}"
-            )
-        return ((1 << (stop - start)) - 1) << start
+    def _out_of_bounds(self, start: int, stop: int) -> OutOfBoundsError:
+        return OutOfBoundsError(
+            f"slot range [{start}, {stop}) outside the {self._slot_count}-slot "
+            f"grid of link {self.id}"
+        )
 
     def occupy_slots(self, start: int, stop: int) -> None:
         """Mark ``[start, stop)`` occupied; every slot must currently be free."""
-        bits = self._range_bits(start, stop)
+        if not (0 <= start < stop <= self._slot_count):
+            raise self._out_of_bounds(start, stop)
+        bits = ((1 << (stop - start)) - 1) << start
         if self._mask & bits:
             raise AlreadyOccupiedError(
                 f"link {self.id}: range [{start}, {stop}) is not entirely free"
@@ -106,7 +106,9 @@ class Link:
 
     def release_slots(self, start: int, stop: int) -> None:
         """Free ``[start, stop)``; every slot must currently be occupied."""
-        bits = self._range_bits(start, stop)
+        if not (0 <= start < stop <= self._slot_count):
+            raise self._out_of_bounds(start, stop)
+        bits = ((1 << (stop - start)) - 1) << start
         if self._mask & bits != bits:
             raise NotOccupiedError(
                 f"link {self.id}: range [{start}, {stop}) is not entirely occupied "
@@ -116,7 +118,9 @@ class Link:
 
     def is_range_free(self, start: int, stop: int) -> bool:
         """True iff every slot in ``[start, stop)`` is free.  No mutation."""
-        return not self._mask & self._range_bits(start, stop)
+        if not (0 <= start < stop <= self._slot_count):
+            raise self._out_of_bounds(start, stop)
+        return not self._mask & (((1 << (stop - start)) - 1) << start)
 
 
 class Network:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -63,6 +64,30 @@ def brute_exact(cells, size):
         if stop - start == size:
             return start
     return None
+
+
+def scan_starts(cells, size):
+    """Every start of ``size`` free slots, by a prefix-sum scan of the grid."""
+    prefix = [0]
+    for cell in cells:
+        prefix.append(prefix[-1] + bool(cell))
+    return [i for i in range(len(cells) - size + 1)
+            if prefix[i + size] == prefix[i]]
+
+
+def boundary_grids(n, rng, random_count):
+    """All-free, all-occupied, top-/bottom-k-free and random grids of n slots."""
+    grids = [[False] * n, [True] * n]
+    for k in sorted({1, 2, n // 2, n - 1} & set(range(1, n))):
+        grids.append([i < n - k for i in range(n)])   # only the top k free
+        grids.append([i >= k for i in range(n)])      # only the bottom k free
+    for _ in range(random_count):
+        density = rng.choice((0.05, 0.2, 0.5, 0.8))
+        grids.append([rng.random() < density for _ in range(n)])
+    return grids
+
+
+GRID_SIZES = [1, 63, 64, 65, 127, 128, 129, 320]
 
 
 class TestIntersectionGrid:
@@ -167,6 +192,24 @@ class TestOracleEquivalence:
         for cells in grids:
             for size in sorted({1, 2, 3, 31, 32, 33, 63, 64, 65, n - 1, n, n + 1}):
                 self.assert_kernels_match(cells, size)
+
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_every_width_matches_a_scan(self, n):
+        rng = random.Random(1000 + n)
+        for cells in boundary_grids(n, rng, random_count=8):
+            occ = np.array(cells, dtype=bool)
+            for size in range(1, n + 1):
+                starts = scan_starts(cells, size)
+                low = first_free_block(occ, size, LOW)
+                high = first_free_block(occ, size, HIGH)
+                exact = exact_free_block(occ, size)
+                assert (low.start if low else None) == (
+                    starts[0] if starts else None), (cells, size)
+                assert (high.start if high else None) == (
+                    starts[-1] if starts else None), (cells, size)
+                assert ((exact.start if exact else None)
+                        == brute_exact(cells, size)), (cells, size)
 
 
 class TestModulationOptions:
@@ -312,6 +355,45 @@ class TestSearchAgainstBruteForce:
         ctx = make_ctx(net, routes, 0, 2, one_slot_catalog[0])
         with pytest.raises(HeterogeneousSlotCountsError, match=r"\[8, 16\]"):
             first_fit(ctx)
+
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_every_width_matches_a_scan(self, n):
+        # A two-link route whose joint grid is the test grid: each occupied
+        # slot is taken on one link or on both, so the search must OR them.
+        option = eonsim.ModulationOption("BPSK", 1, 1e9)
+        rng = random.Random(2000 + n)
+        for cells in boundary_grids(n, rng, random_count=6):
+            net = eonsim.Network.build("line", 3,
+                                       [(0, 1, 10.0, n), (1, 2, 10.0, n)])
+            for slot, taken in enumerate(cells):
+                if taken:
+                    for link_id in rng.choice(((0,), (1,), (0, 1))):
+                        net.links[link_id].occupy_slots(slot, slot + 1)
+            routes = eonsim.RouteSet()
+            routes.add_node_path(net, [0, 1, 2])
+            for size in range(1, n + 1):
+                starts = scan_starts(cells, size)
+                exact = brute_exact(cells, size)
+                lowest = starts[0] if starts else None
+                highest = starts[-1] if starts else None
+                cases = [(first_fit, 10.0, lowest),
+                         (exact_fit, 10.0, lowest if exact is None else exact),
+                         (first_last_fit, 10.0, lowest),
+                         (first_last_fit, 400.0, highest)]
+                for algorithm, gbps, start in cases:
+                    entry = eonsim.BitRateEntry(
+                        gbps, f"{gbps:g}",
+                        (dataclasses.replace(option, slot_count=size),))
+                    ctx = make_ctx(net, routes, 0, 2, entry)
+                    verdict = algorithm(ctx)
+                    if start is None:
+                        assert verdict is NOT_ALLOCATED, (cells, size, algorithm)
+                    else:
+                        assert verdict is ALLOCATED, (cells, size, algorithm)
+                        assert ctx.staged == ((0, start, start + size),
+                                              (1, start, start + size)), (
+                            cells, size, algorithm)
 
 
 class TestExactFit:

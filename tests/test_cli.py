@@ -103,6 +103,24 @@ def test_workers_below_one_rejected(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_negative_progress_rejected(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--progress", "-3")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "eonsim: --progress must be at least 0, got -3\n")
+    assert not out.exists()
+
+
+def test_zero_progress_disables_progress_output(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--progress", "0")
+    assert code == 0
+    assert out.exists()
+    stdout = capsys.readouterr().out
+    assert "progress requests=" not in stdout
+    assert "done requests=" not in stdout
+    assert f"wrote {out}" in stdout
+
+
 def test_unknown_algorithm_rejected_by_parser(tmp_path):
     out = tmp_path / "run.dat"
     with pytest.raises(SystemExit):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import heapq
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from eonsim.errors import (
     AlreadyInitializedError,
     AlreadyOccupiedError,
     CommitConflictError,
+    HeterogeneousSlotCountsError,
     InvalidConfigError,
     MissingRoutesError,
     NoAllocatorSetError,
@@ -478,3 +481,156 @@ class TestCommitWithoutRollback:
         for link, snapshot in zip(chain_net.links, before):
             assert np.array_equal(link.occupancy, snapshot)
         assert ctx.staged == ((0, 0, 2), (2, 2, 5), (3, 0, 4))
+
+
+class TestRunPlans:
+    """Request plans are built on first use in a run and follow the inputs."""
+
+    @staticmethod
+    def count_plans(monkeypatch):
+        calls = []
+        build = eonsim.engine.request_plan
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(eonsim.engine, "request_plan", counting)
+        return calls
+
+    @staticmethod
+    def run(network, routes, catalog, allocator=first_fit, goal=2_000, lam=180.0):
+        placements = []
+
+        def recording(ctx):
+            verdict = allocator(ctx)
+            placements.append((ctx.src, ctx.dst, verdict, ctx.staged))
+            return verdict
+
+        sim = Simulator(SimulatorConfig(
+            network=network, routes=routes, catalog=catalog,
+            profile=TrafficProfile(arrival_rate=lam, departure_rate=10.0,
+                                   goal_connections=goal)),
+            recording, algorithm_name="FF")
+        sim.init()
+        report = sim.run()
+        return (report.processed, report.accepted, report.blocked,
+                report.per_bitrate), placements
+
+    @staticmethod
+    def triangle(slot_count=8):
+        return eonsim.Network.build("triangle", 3, [
+            (a, b, 100.0, slot_count)
+            for a, b in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))])
+
+    @staticmethod
+    def direct_routes(network):
+        routes = eonsim.RouteSet()
+        for a, b in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
+            routes.add_node_path(network, [a, b])
+        return routes
+
+    def test_plans_are_built_in_run_once_per_request_kind(self, monkeypatch):
+        template = eonsim.data.load_nsfnet()
+        routes = eonsim.data.load_nsfnet_routes(template)
+        catalog = eonsim.data.load_bit_rates()
+        calls = self.count_plans(monkeypatch)
+        Simulator(SimulatorConfig(
+            network=template.fresh_copy(), routes=routes, catalog=catalog,
+            profile=TrafficProfile(arrival_rate=180.0, departure_rate=10.0,
+                                   goal_connections=2_000)),
+            first_fit, algorithm_name="FF").init()
+        assert calls == []  # init() builds none
+
+        first = self.run(template.fresh_copy(), routes, catalog)
+        kinds = {(tuple(route.link_ids for route in plan_routes), entry.label)
+                 for _, plan_routes, entry in calls}
+        assert 0 < len(calls) == len(kinds)
+        # A second run on the same route set and catalog gives the same report.
+        assert self.run(template.fresh_copy(), routes, catalog) == first
+
+    def test_added_route_is_used_by_the_next_run(self):
+        network = self.triangle()
+        routes = self.direct_routes(network)
+        catalog = eonsim.BitRateCatalog([eonsim.BitRateEntry(
+            10.0, "10", (eonsim.ModulationOption("BPSK", 1, 1e9),))])
+
+        def pair_01(placements):
+            return [(verdict, staged) for src, dst, verdict, staged in placements
+                    if (src, dst) == (0, 1)]
+
+        blocked = network.fresh_copy()
+        blocked.links[0].occupy_slots(0, 8)  # the direct link 0 -> 1 is full
+        _, before = self.run(blocked, routes, catalog, goal=300, lam=3.0)
+        assert before and all(verdict is NOT_ALLOCATED
+                              for verdict, _ in pair_01(before))
+
+        detour = routes.add_node_path(network, [0, 2, 1])
+        blocked = network.fresh_copy()
+        blocked.links[0].occupy_slots(0, 8)
+        _, after = self.run(blocked, routes, catalog, goal=300, lam=3.0)
+        assert pair_01(after) and all(
+            verdict is ALLOCATED
+            and {link_id for link_id, _, _ in staged} == set(detour.link_ids)
+            for verdict, staged in pair_01(after))
+
+    def test_new_catalog_entries_are_used_by_the_next_run(self):
+        network = self.triangle(16)
+        routes = self.direct_routes(network)
+
+        def entries(slots):
+            return (eonsim.BitRateEntry(
+                10.0, "10", (eonsim.ModulationOption("BPSK", slots, 1e9),)),)
+
+        def widths(catalog):
+            _, placements = self.run(network.fresh_copy(), routes, catalog,
+                                     goal=100, lam=3.0)
+            return {stop - start for _, _, _, staged in placements
+                    for _, start, stop in staged}
+
+        catalog = eonsim.BitRateCatalog(entries(2))
+        assert widths(catalog) == {2}
+        catalog.entries = entries(3)
+        assert widths(catalog) == {3}
+
+    def test_other_slot_counts_get_their_own_plans(self, monkeypatch):
+        narrow = self.triangle(8)
+        routes = self.direct_routes(narrow)
+        routes.add_node_path(narrow, [0, 1, 2])  # 8 then 16 slots on `mixed`
+        catalog = eonsim.BitRateCatalog([eonsim.BitRateEntry(
+            400.0, "400", (eonsim.ModulationOption("BPSK", 1, 1e9),))])
+        calls = self.count_plans(monkeypatch)
+
+        def top_starts(network):
+            _, placements = self.run(network, routes, catalog,
+                                     allocator=eonsim.first_last_fit,
+                                     goal=100, lam=3.0)
+            return {staged[0][1] for _, _, verdict, staged in placements
+                    if verdict is ALLOCATED}
+
+        assert 7 in top_starts(narrow)  # high-to-low from the top slot
+        built = len(calls)
+        assert built > 0
+        assert 15 in top_starts(self.triangle(16))
+        assert len(calls) > built
+
+        mixed = eonsim.Network.build("mixed", 3, [
+            (0, 1, 100.0, 8), (1, 0, 100.0, 8), (0, 2, 100.0, 8),
+            (2, 0, 100.0, 8), (1, 2, 100.0, 16), (2, 1, 100.0, 8)])
+        starved = mixed.fresh_copy()
+        starved.links[2].occupy_slots(0, 8)  # only the mixed route is left for (0, 2)
+        with pytest.raises(AllocatorFaultError) as excinfo:
+            self.run(starved, routes, catalog, goal=300, lam=3.0)
+        assert isinstance(excinfo.value.__cause__, HeterogeneousSlotCountsError)
+        assert "route 1 mixes links with slot counts [8, 16]" in str(excinfo.value)
+
+    def test_plans_die_with_route_set_and_catalog(self):
+        template = eonsim.data.load_nsfnet()
+        routes = eonsim.data.load_nsfnet_routes(template)
+        catalog = eonsim.data.load_bit_rates()
+        self.run(template.fresh_copy(), routes, catalog, goal=500)
+        routes_ref, catalog_ref = weakref.ref(routes), weakref.ref(catalog)
+        del routes, catalog
+        gc.collect()
+        assert routes_ref() is None
+        assert catalog_ref() is None

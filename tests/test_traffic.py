@@ -137,6 +137,62 @@ class TestSampleBitrate:
         assert sample_bitrate(RngStreams(Seeds()).bitrate, table_catalog) == seq_a[0]
 
 
+def reference_src_dst(streams, node_count):
+    """Pair sampling spelt out with :func:`uniform_index` calls."""
+    src = uniform_index(streams.source, node_count)
+    dst = uniform_index(streams.destination, node_count)
+    while dst == src:
+        dst = uniform_index(streams.destination, node_count)
+    return src, dst
+
+
+def one_option_catalog(size):
+    option = eonsim.ModulationOption("BPSK", 1, 1e9)
+    return eonsim.BitRateCatalog([eonsim.BitRateEntry(10.0 * (i + 1), str(i), (option,))
+                                  for i in range(size)])
+
+
+class TestPinnedToUniformIndex:
+    """The samplers draw exactly what ``uniform_index`` draws, value for value."""
+
+    @pytest.mark.parametrize("node_count", [2, 3, 14, 16, 17])
+    def test_src_dst_matches_reference(self, node_count):
+        seeds = Seeds(source=101, destination=202)
+        streams, reference = RngStreams(seeds), RngStreams(seeds)
+        got = [sample_src_dst(streams, node_count) for _ in range(10_000)]
+        assert got == [reference_src_dst(reference, node_count)
+                       for _ in range(10_000)]
+        assert streams.source.getstate() == reference.source.getstate()
+        assert streams.destination.getstate() == reference.destination.getstate()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8])
+    def test_bitrate_matches_reference(self, size):
+        catalog = one_option_catalog(size)
+        stream, reference = RngStreams().bitrate, RngStreams().bitrate
+        got = [sample_bitrate(stream, catalog) for _ in range(10_000)]
+        assert got == [uniform_index(reference, size) for _ in range(10_000)]
+        assert stream.getstate() == reference.getstate()
+
+    def test_one_entry_catalog_draws_nothing(self):
+        stream = RngStreams().bitrate
+        before = stream.getstate()
+        for _ in range(100):
+            assert sample_bitrate(stream, one_option_catalog(1)) == 0
+        assert stream.getstate() == before
+
+    @pytest.mark.parametrize("node_count", [1, 0, -2])
+    def test_degenerate_pair_message(self, node_count):
+        with pytest.raises(DegenerateNetworkError,
+                           match=f"need at least 2 nodes to sample a pair, "
+                                 f"got {node_count}$"):
+            sample_src_dst(RngStreams(), node_count)
+
+    def test_empty_catalog_message(self):
+        with pytest.raises(EmptyCatalogError,
+                           match="^cannot sample from an empty bitrate catalog$"):
+            sample_bitrate(RngStreams().bitrate, eonsim.BitRateCatalog([]))
+
+
 class TestStreamIndependence:
     def test_changing_bitrate_seed_leaves_other_streams_identical(self, table_catalog):
         base = RngStreams(Seeds())
