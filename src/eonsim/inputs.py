@@ -25,6 +25,18 @@ slots first, which is the trial order)::
 Parsing is total: a document either yields a validated model or raises a
 located :class:`~eonsim.errors.InputError`; no partially built model ever
 escapes.
+
+Each rule about values has one owner, a model constructor that raises
+:class:`ValueError`: ``Link`` (self-loop, slots, finite length),
+``Network`` (dense ids, known endpoints, one link per directed pair),
+``RouteSet.add_route`` (path starts at src, ends at dst, links chain),
+``ModulationOption`` (slots, finite reach) and ``BitRateEntry`` (finite
+bitrate, at least one option); a missing hop is a ``NoSuchLinkError`` from
+``Network.link_by_endpoints``.  The parsers check only the document's shape
+(:class:`~eonsim.errors.SchemaError`) and turn a model's rejection into a
+:class:`~eonsim.errors.ValidationError` that starts with the JSON path:
+``links[i]``, ``routes[i].paths[j]``, ``bit_rates['label'][j]``, or
+``network`` for rules over the whole network.
 """
 
 from __future__ import annotations
@@ -33,7 +45,12 @@ import json
 import logging
 from pathlib import Path
 
-from .errors import MalformedDocumentError, SchemaError, ValidationError
+from .errors import (
+    MalformedDocumentError,
+    NoSuchLinkError,
+    SchemaError,
+    ValidationError,
+)
 from .network import Link, Network, Node, RouteSet
 from .traffic import BitRateCatalog, BitRateEntry, ModulationOption
 
@@ -80,6 +97,14 @@ def _warn_unknown(mapping, known, path):
             LOGGER.warning("%s: ignoring unknown field %r", path, key)
 
 
+def _build(path, make, *args):
+    """``make(*args)``, re-raising a model's rejection as a located error."""
+    try:
+        return make(*args)
+    except (ValueError, NoSuchLinkError) as err:
+        raise ValidationError(f"{path}: {err}") from err
+
+
 def parse_network(text: str) -> Network:
     """Parse and validate a network topology document."""
     doc = _load_document(text)
@@ -94,11 +119,7 @@ def parse_network(text: str) -> Network:
         path = f"nodes[{i}]"
         nodes.append(Node(_require(node_doc, "id", int, path)))
         _warn_unknown(node_doc, _NODE_FIELDS, path)
-    ids = sorted(node.id for node in nodes)
-    if ids != list(range(len(nodes))):
-        raise ValidationError(f"network: node ids must be exactly 0..{len(nodes) - 1}")
     links = []
-    seen_pairs: dict[tuple[int, int], int] = {}
     for i, link_doc in enumerate(links_doc):
         path = f"links[{i}]"
         link_id = _require(link_doc, "id", int, path)
@@ -107,26 +128,8 @@ def parse_network(text: str) -> Network:
         length = _require(link_doc, "length", float, path)
         slots = _require(link_doc, "slots", int, path)
         _warn_unknown(link_doc, _LINK_FIELDS, path)
-        for endpoint in (src, dst):
-            if not 0 <= endpoint < len(nodes):
-                raise ValidationError(
-                    f"{path}: link {link_id} references unknown node {endpoint}")
-        if src == dst:
-            raise ValidationError(f"{path}: link {link_id} is a self-loop on node {src}")
-        if (src, dst) in seen_pairs:
-            raise ValidationError(
-                f"{path}: duplicate directed link ({src} -> {dst}), "
-                f"already declared by link {seen_pairs[(src, dst)]}")
-        seen_pairs[(src, dst)] = link_id
-        if slots < 1:
-            raise ValidationError(f"{path}: link {link_id} has non-positive slots {slots}")
-        if length < 0:
-            raise ValidationError(f"{path}: link {link_id} has negative length {length}")
-        links.append(Link(link_id, src, dst, length, slots))
-    link_ids = sorted(link.id for link in links)
-    if link_ids != list(range(len(links))):
-        raise ValidationError(f"network: link ids must be exactly 0..{len(links) - 1}")
-    return Network(name, nodes, links)
+        links.append(_build(path, Link, link_id, src, dst, length, slots))
+    return _build("network", Network, name, nodes, links)
 
 
 def parse_routes(text: str, network: Network) -> RouteSet:
@@ -148,18 +151,9 @@ def parse_routes(text: str, network: Network) -> RouteSet:
                     or not all(isinstance(n, int) and not isinstance(n, bool)
                                for n in node_path)):
                 raise SchemaError(f"{where}: expected a list of >= 2 node ids")
-            if node_path[0] != src or node_path[-1] != dst:
-                raise ValidationError(
-                    f"{where}: path {node_path} does not run from the declared "
-                    f"src {src} to dst {dst}")
-            link_ids = []
-            for a, b in zip(node_path, node_path[1:]):
-                if (a, b) not in network.adjacency:
-                    raise ValidationError(
-                        f"{where}: no directed link ({a} -> {b}) in network "
-                        f"{network.name!r}")
-                link_ids.append(network.adjacency[(a, b)])
-            route_set.add_route(network, src, dst, link_ids)
+            link_ids = [_build(where, network.link_by_endpoints, a, b)
+                        for a, b in zip(node_path, node_path[1:])]
+            _build(where, route_set.add_route, network, src, dst, link_ids)
     return route_set
 
 
@@ -175,10 +169,9 @@ def parse_bit_rates(text: str) -> BitRateCatalog:
             bitrate = float(label)
         except ValueError:
             raise SchemaError(f"{path}: key is not a numeric bitrate label") from None
-        if bitrate <= 0:
-            raise ValidationError(f"{path}: bitrate must be positive")
-        if not isinstance(options_doc, list) or not options_doc:
-            raise ValidationError(f"{path}: needs a non-empty option list")
+        if not isinstance(options_doc, list):
+            raise SchemaError(f"{path}: expected a list of options, "
+                              f"got {type(options_doc).__name__}")
         options = []
         for j, option_doc in enumerate(options_doc):
             where = f"{path}[{j}]"
@@ -186,12 +179,8 @@ def parse_bit_rates(text: str) -> BitRateCatalog:
             slots = _require(option_doc, "slots", int, where)
             reach = _require(option_doc, "reach", float, where)
             _warn_unknown(option_doc, _OPTION_FIELDS, where)
-            if slots < 1:
-                raise ValidationError(f"{where}: slots must be >= 1, got {slots}")
-            if reach <= 0:
-                raise ValidationError(f"{where}: reach must be > 0, got {reach}")
-            options.append(ModulationOption(modulation, slots, reach))
-        entries.append(BitRateEntry(bitrate, label, tuple(options)))
+            options.append(_build(where, ModulationOption, modulation, slots, reach))
+        entries.append(_build(path, BitRateEntry, bitrate, label, tuple(options)))
     return BitRateCatalog(entries)
 
 

@@ -13,6 +13,7 @@ both of which validate first and leave the grid untouched when they fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -53,11 +54,12 @@ class Link:
 
     def __init__(self, id: int, src: int, dst: int, length_km: float, slot_count: int):
         if src == dst:
-            raise ValueError(f"link {id}: src and dst must differ (got {src})")
+            raise ValueError(f"link {id} is a self-loop on node {src}")
         if slot_count < 1:
-            raise ValueError(f"link {id}: slot count must be >= 1, got {slot_count}")
-        if length_km < 0:
-            raise ValueError(f"link {id}: length must be non-negative, got {length_km}")
+            raise ValueError(f"link {id}: slots must be >= 1, got {slot_count}")
+        if not (math.isfinite(length_km) and length_km >= 0):
+            raise ValueError(
+                f"link {id}: length must be finite and >= 0, got {length_km}")
         self.id = id
         self.src = src
         self.dst = dst
@@ -134,20 +136,21 @@ class Network:
     def __init__(self, name: str, nodes: Sequence[Node], links: Sequence[Link]):
         ids = sorted(node.id for node in nodes)
         if ids != list(range(len(nodes))):
-            raise ValueError(f"network {name!r}: node ids must be exactly 0..N-1, got {ids}")
+            raise ValueError(f"node ids must be exactly 0..N-1, got {ids}")
         link_ids = sorted(link.id for link in links)
         if link_ids != list(range(len(links))):
-            raise ValueError(f"network {name!r}: link ids must be exactly 0..L-1, got {link_ids}")
+            raise ValueError(f"link ids must be exactly 0..L-1, got {link_ids}")
         adjacency: dict[tuple[int, int], int] = {}
         for link in links:
             for endpoint in (link.src, link.dst):
                 if not 0 <= endpoint < len(nodes):
                     raise ValueError(
-                        f"network {name!r}: link {link.id} references unknown node {endpoint}"
-                    )
+                        f"link {link.id} references unknown node {endpoint}")
             pair = (link.src, link.dst)
             if pair in adjacency:
-                raise ValueError(f"network {name!r}: duplicate directed link for pair {pair}")
+                raise ValueError(
+                    f"link {link.id} duplicates directed link ({link.src} -> "
+                    f"{link.dst}), already declared by link {adjacency[pair]}")
             adjacency[pair] = link.id
         self.name = name
         self.nodes = tuple(sorted(nodes, key=lambda n: n.id))

@@ -14,7 +14,9 @@ space separated, blocking with seven significant digits.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -90,7 +92,7 @@ class SimulationReport:
         return lines
 
 
-def _sweep_worker(config, arrival_rate: float, algorithm_name: str,
+def _sweep_worker(config, profile, algorithm_name: str,
                   progress_every: int | None) -> SimulationReport:
     # Local import: the engine module imports this one.
     import sys
@@ -99,10 +101,7 @@ def _sweep_worker(config, arrival_rate: float, algorithm_name: str,
     from .engine import Simulator
 
     run_config = dataclasses.replace(
-        config,
-        network=config.network.fresh_copy(),
-        profile=dataclasses.replace(config.profile, arrival_rate=arrival_rate),
-    )
+        config, network=config.network.fresh_copy(), profile=profile)
     simulator = Simulator(run_config, ALGORITHMS[algorithm_name],
                           algorithm_name=algorithm_name,
                           progress_every=progress_every,
@@ -116,10 +115,12 @@ def sweep_reports(config, lambdas, algorithm_name: str, *,
                   progress_every: int | None = None) -> list[SimulationReport]:
     """One independent simulation per arrival rate, same seeds each time.
 
-    Returns the report of every run, ordered by increasing load.  Each run
-    gets a fresh copy of the network, so runs share no mutable state and
-    ``workers > 1`` executes them in parallel processes without changing
-    the results; ``workers`` below 1 raises :class:`ValueError`.
+    Returns the report of every run, ordered by increasing load.  Every
+    run's profile is built before the first run starts, so a rate the
+    profile rejects raises :class:`ValueError` without running anything.
+    Each run gets a fresh copy of the network, so runs share no mutable
+    state and ``workers > 1`` executes them in parallel processes without
+    changing the results; ``workers`` below 1 raises :class:`ValueError`.
     """
     from .algorithms import ALGORITHMS
 
@@ -128,29 +129,25 @@ def sweep_reports(config, lambdas, algorithm_name: str, *,
             f"unknown algorithm {algorithm_name!r}; "
             f"registered: {sorted(ALGORITHMS)}"
         )
-    rates = sorted(float(lam) for lam in lambdas)
-    if not rates:
+    profiles = sorted((dataclasses.replace(config.profile, arrival_rate=float(lam))
+                       for lam in lambdas), key=lambda profile: profile.arrival_rate)
+    if not profiles:
         raise ValueError("at least one arrival rate is required")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    reports: dict[float, SimulationReport] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_worker, config, lam, algorithm_name,
-                                   progress_every): lam for lam in rates}
-            for future, lam in futures.items():
-                try:
-                    reports[lam] = future.result()
-                except EonSimError as err:
-                    raise EonSimError(f"sweep run at lambda={lam:g} failed: {err}") from err
-    else:
-        for lam in rates:
+    run = functools.partial(_sweep_worker, config, algorithm_name=algorithm_name,
+                            progress_every=progress_every)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        outcomes = pool.map(run, profiles) if pool else map(run, profiles)
+        reports = []
+        for profile in profiles:
             try:
-                reports[lam] = _sweep_worker(config, lam, algorithm_name,
-                                             progress_every)
+                reports.append(next(outcomes))
             except EonSimError as err:
-                raise EonSimError(f"sweep run at lambda={lam:g} failed: {err}") from err
-    return [reports[lam] for lam in rates]
+                raise EonSimError(f"sweep run at lambda={profile.arrival_rate:g} "
+                                  f"failed: {err}") from err
+    return reports
 
 
 def run_sweep(config, lambdas, algorithm_name: str, *,

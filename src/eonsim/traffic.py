@@ -46,6 +46,11 @@ class RngStreams:
         self.bitrate = Random(seeds.bitrate)
 
 
+def _check_positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class TrafficProfile:
     """Arrival rate, departure rate and request count of one run.
@@ -58,10 +63,8 @@ class TrafficProfile:
     goal_connections: int = 100_000
 
     def __post_init__(self):
-        if self.arrival_rate <= 0:
-            raise ValueError(f"arrival rate must be > 0, got {self.arrival_rate}")
-        if self.departure_rate <= 0:
-            raise ValueError(f"departure rate must be > 0, got {self.departure_rate}")
+        _check_positive("arrival rate", self.arrival_rate)
+        _check_positive("departure rate", self.departure_rate)
         if self.goal_connections < 1:
             raise ValueError(
                 f"goal connections must be >= 1, got {self.goal_connections}"
@@ -82,11 +85,9 @@ class ModulationOption:
 
     def __post_init__(self):
         if self.slot_count < 1:
-            raise ValueError(
-                f"modulation {self.modulation!r}: slot count must be >= 1"
-            )
-        if self.reach_km <= 0:
-            raise ValueError(f"modulation {self.modulation!r}: reach must be > 0")
+            raise ValueError(f"modulation {self.modulation!r}: slots must be >= 1, "
+                             f"got {self.slot_count}")
+        _check_positive(f"modulation {self.modulation!r}: reach", self.reach_km)
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,7 @@ class BitRateEntry:
     options: tuple[ModulationOption, ...]
 
     def __post_init__(self):
-        if self.bitrate_gbps <= 0:
-            raise ValueError(f"bitrate must be > 0, got {self.bitrate_gbps}")
+        _check_positive("bitrate", self.bitrate_gbps)
         if not self.options:
             raise ValueError(f"bitrate {self.label!r} needs at least one option")
 
@@ -167,6 +167,7 @@ def sample_src_dst(streams: RngStreams, node_count: int) -> tuple[int, int]:
 
 def sample_bitrate(stream: Random, catalog: BitRateCatalog) -> int:
     """Uniform index into the catalog entries."""
-    if len(catalog) == 0:
+    count = len(catalog)
+    if count == 0:
         raise EmptyCatalogError("cannot sample from an empty bitrate catalog")
-    return uniform_index(stream, len(catalog))
+    return uniform_index(stream, count)

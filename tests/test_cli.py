@@ -136,3 +136,24 @@ def test_missing_input_file(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("eonsim:")
     assert not out.exists()
+
+@pytest.mark.parametrize("option, value", [
+    ("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "-inf"),
+    ("--mu", "inf"), ("--mu", "nan"), ("--mu", "-inf"),
+])
+def test_non_finite_rate_rejected(tmp_path, capsys, option, value):
+    code, out = run_cli(tmp_path, f"{option}={value}")
+    assert code == 1
+    rate = "arrival" if option == "--lambda" else "departure"
+    assert capsys.readouterr().err == (
+        f"eonsim: {rate} rate must be finite and > 0, got {value}\n")
+    assert not out.exists()
+
+
+def test_non_finite_rate_later_in_sweep_fails_before_any_run(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--lambda", "18,nan", "--progress", "100")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "eonsim: arrival rate must be finite and > 0, got nan\n"
+    assert "# eonsim" not in captured.out
+    assert not out.exists()

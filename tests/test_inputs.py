@@ -206,3 +206,61 @@ class TestParseTotality:
     def test_bad_bit_rate_documents_raise_input_errors(self, text):
         with pytest.raises(InputError):
             parse_bit_rates(text)
+
+
+def _with_link(index, **fields):
+    links = [dict(link) for link in SMALL_NETWORK["links"]]
+    links[index].update(fields)
+    return doc(links=links)
+
+
+OPTION = {"modulation": "BPSK", "slots": 1, "reach": 100}
+
+
+class TestLocatedModelRules:
+    """Rules owned by the model constructors, reported at their JSON path."""
+
+    @pytest.mark.parametrize("kind, text, prefix, fragments", [
+        ("network", _with_link(1, dst=1), "links[1]", ["self-loop"]),
+        ("network", _with_link(0, length=-5), "links[0]", ["length", "-5"]),
+        ("network", _with_link(0, length=float("nan")), "links[0]",
+         ["length", "nan"]),
+        ("network", _with_link(2, length=float("inf")), "links[2]",
+         ["length", "inf"]),
+        ("network", doc(nodes=[{"id": 0}, {"id": 1}, {"id": 3}]), "network",
+         ["node ids"]),
+        ("network", _with_link(3, id=7), "network", ["link ids"]),
+        ("network", _with_link(2, dst=99), "network", ["99"]),
+        ("network", doc(links=SMALL_NETWORK["links"] + [
+            {"id": 4, "src": 0, "dst": 1, "length": 2, "slots": 8}]),
+         "network", ["duplicate", "(0 -> 1)", "link 4", "link 0"]),
+        ("routes", json.dumps({"name": "x", "routes": [
+            {"src": 0, "dst": 2, "paths": [[0, 1, 2], [0, 1]]}]}),
+         "routes[0].paths[1]", ["ends at node 1"]),
+        ("bit_rates", json.dumps({"10": [OPTION], "0": [OPTION]}),
+         "bit_rates['0']", ["bitrate", "0.0"]),
+        ("bit_rates", json.dumps({"nan": [OPTION]}), "bit_rates['nan']",
+         ["bitrate", "nan"]),
+        ("bit_rates", json.dumps({"inf": [OPTION]}), "bit_rates['inf']",
+         ["bitrate", "inf"]),
+        ("bit_rates", json.dumps({"10": [OPTION, {**OPTION, "reach": 0}]}),
+         "bit_rates['10'][1]", ["reach", "0.0"]),
+        ("bit_rates", json.dumps({"10": [{**OPTION, "reach": float("nan")}]}),
+         "bit_rates['10'][0]", ["reach", "nan"]),
+    ], ids=["self-loop", "negative-length", "nan-length", "infinite-length",
+            "sparse-node-ids", "sparse-link-ids", "unknown-endpoint",
+            "duplicate-pair", "path-ends-elsewhere", "zero-bitrate",
+            "nan-bitrate", "infinite-bitrate", "zero-reach", "nan-reach"])
+    def test_error_starts_with_its_json_path(self, kind, text, prefix, fragments):
+        with pytest.raises(ValidationError) as excinfo:
+            if kind == "network":
+                parse_network(text)
+            elif kind == "routes":
+                parse_routes(text, parse_network(doc()))
+            else:
+                parse_bit_rates(text)
+        message = str(excinfo.value)
+        assert message.startswith(f"{prefix}: ")
+        assert "network: network" not in message
+        for fragment in fragments:
+            assert fragment in message

@@ -112,6 +112,15 @@ class TestLinkConstruction:
         with pytest.raises(ValueError):
             eonsim.Link(0, 0, 1, -5.0, 8)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(ValueError, match=f"length must be finite and >= 0, "
+                                             f"got {length}"):
+            eonsim.Link(0, 0, 1, length, 8)
+
+    def test_zero_length_allowed(self):
+        assert eonsim.Link(0, 0, 1, 0, 8).length_km == 0.0
+
 
 class TestNetwork:
     def test_link_by_endpoints_on_nsfnet(self, nsfnet):
@@ -132,6 +141,13 @@ class TestNetwork:
     def test_duplicate_directed_pair_rejected(self):
         with pytest.raises(ValueError):
             eonsim.Network.build("dup", 2, [(0, 1, 1.0, 8), (0, 1, 2.0, 8)])
+
+    def test_duplicate_pair_message_names_both_links(self):
+        with pytest.raises(ValueError) as excinfo:
+            eonsim.Network.build("dup", 2, [(0, 1, 1.0, 8), (1, 0, 1.0, 8),
+                                            (0, 1, 2.0, 8)])
+        assert str(excinfo.value) == (
+            "link 2 duplicates directed link (0 -> 1), already declared by link 0")
 
     def test_dangling_endpoint_rejected(self):
         with pytest.raises(ValueError):

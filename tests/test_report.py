@@ -158,6 +158,23 @@ class TestRunSweep:
         with pytest.raises(EonSimError, match="lambda=30"):
             run_sweep(config, [30], "FF")
 
+    def test_parallel_failures_are_tagged_with_their_load(self, chain_net,
+                                                          one_slot_catalog):
+        routes = eonsim.RouteSet()
+        routes.add_node_path(chain_net, [0, 1])
+        config = SimulatorConfig(
+            network=chain_net, routes=routes, catalog=one_slot_catalog,
+            profile=TrafficProfile(goal_connections=100))
+        with pytest.raises(EonSimError, match="lambda=30"):
+            run_sweep(config, [30, 60], "FF", workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_rate_fails_before_any_run(self, base_config, capsys, workers):
+        with pytest.raises(ValueError, match="arrival rate .* got nan"):
+            sweep_reports(base_config, [18, float("nan"), 90], "FF",
+                          workers=workers, progress_every=100)
+        assert capsys.readouterr().out == ""
+
     def test_empty_lambda_list(self, base_config):
         with pytest.raises(ValueError):
             run_sweep(base_config, [], "FF")

@@ -227,6 +227,14 @@ class TestTrafficProfile:
         with pytest.raises(ValueError):
             TrafficProfile(**kwargs)
 
+    @pytest.mark.parametrize("field", ["arrival_rate", "departure_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, field, value):
+        name = field.replace("_", " ")
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and > 0, got {value}$"):
+            TrafficProfile(**{field: value})
+
 
 class TestCatalogTypes:
     def test_zero_slot_option_rejected(self):
@@ -240,3 +248,16 @@ class TestCatalogTypes:
     def test_non_positive_bitrate_rejected(self):
         with pytest.raises(ValueError):
             eonsim.BitRateEntry(0.0, "0", (eonsim.ModulationOption("BPSK", 1, 1.0),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bitrate_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=f"^bitrate must be finite and > 0, got {value}$"):
+            eonsim.BitRateEntry(value, str(value),
+                                (eonsim.ModulationOption("BPSK", 1, 1.0),))
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_reach_rejected_with_its_value(self, value):
+        with pytest.raises(ValueError, match=f"^modulation 'BPSK': reach must be "
+                                             f"finite and > 0, got {value}$"):
+            eonsim.ModulationOption("BPSK", 1, value)
