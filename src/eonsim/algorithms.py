@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .allocation import (
     ALLOCATED,
@@ -38,6 +37,9 @@ from .allocation import (
 )
 from .errors import HeterogeneousSlotCountsError
 from .network import grid_to_mask, mask_to_grid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SearchDirection(Enum):

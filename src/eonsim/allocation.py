@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     AlreadyOccupiedError,
@@ -58,6 +56,9 @@ from .errors import (
 )
 from .network import Link, Network, Route
 from .traffic import BitRateEntry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Verdict(Enum):

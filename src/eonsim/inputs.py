@@ -30,13 +30,15 @@ Each rule about values has one owner, a model constructor that raises
 :class:`ValueError`: ``Link`` (self-loop, slots, finite length),
 ``Network`` (dense ids, known endpoints, one link per directed pair),
 ``RouteSet.add_route`` (path starts at src, ends at dst, links chain),
-``ModulationOption`` (slots, finite reach) and ``BitRateEntry`` (finite
-bitrate, at least one option); a missing hop is a ``NoSuchLinkError`` from
+``ModulationOption`` (slots, finite reach), ``BitRateEntry`` (finite
+bitrate, at least one option) and ``BitRateCatalog`` (no two labels with
+the same bitrate); a missing hop is a ``NoSuchLinkError`` from
 ``Network.link_by_endpoints``.  The parsers check only the document's shape
-(:class:`~eonsim.errors.SchemaError`) and turn a model's rejection into a
+(:class:`~eonsim.errors.SchemaError`; a key repeated within one JSON object
+is one) and turn a model's rejection into a
 :class:`~eonsim.errors.ValidationError` that starts with the JSON path:
 ``links[i]``, ``routes[i].paths[j]``, ``bit_rates['label'][j]``, or
-``network`` for rules over the whole network.
+``network`` and ``bit_rates`` for rules over the whole document.
 """
 
 from __future__ import annotations
@@ -64,9 +66,23 @@ _ROUTE_FIELDS = {"src", "dst", "paths"}
 _OPTION_FIELDS = {"modulation", "slots", "reach"}
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` for ``json.loads``: a dict, or a duplicate-key error.
+
+    Plain ``json.loads`` keeps only the last of two equal keys, which would
+    silently drop a field or a whole bitrate entry.
+    """
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r} in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def _load_document(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise MalformedDocumentError(f"not valid JSON: {err}") from err
 
@@ -181,7 +197,7 @@ def parse_bit_rates(text: str) -> BitRateCatalog:
             _warn_unknown(option_doc, _OPTION_FIELDS, where)
             options.append(_build(where, ModulationOption, modulation, slots, reach))
         entries.append(_build(path, BitRateEntry, bitrate, label, tuple(options)))
-    return BitRateCatalog(entries)
+    return _build("bit_rates", BitRateCatalog, entries)
 
 
 # -- file helpers ------------------------------------------------------------

@@ -9,15 +9,15 @@ mutated through :meth:`Link.occupy_slots` / :meth:`Link.release_slots`,
 both of which validate first and leave the grid untouched when they fail.
 :attr:`Link.occupancy` hands out the grid as a boolean ndarray snapshot;
 :func:`grid_to_mask` and :func:`mask_to_grid` convert between the two forms.
+They are the package's only numpy users and import it on their first call,
+so ``import eonsim`` and a simulation never load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     AlreadyOccupiedError,
@@ -25,6 +25,9 @@ from .errors import (
     NotOccupiedError,
     OutOfBoundsError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -36,12 +39,16 @@ class Node:
 
 def grid_to_mask(grid: np.ndarray) -> int:
     """Bitmask of a boolean grid: bit ``i`` is set when ``grid[i]`` is True."""
+    import numpy as np
+
     packed = np.packbits(np.asarray(grid, dtype=bool), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
 
 def mask_to_grid(mask: int, slot_count: int) -> np.ndarray:
     """Fresh boolean grid of ``slot_count`` slots from a bitmask."""
+    import numpy as np
+
     raw = np.frombuffer(mask.to_bytes((slot_count + 7) // 8, "little"),
                         dtype=np.uint8)
     return np.unpackbits(raw, count=slot_count, bitorder="little").astype(bool)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .allocation import ALLOCATED, Verdict
@@ -137,8 +136,13 @@ def sweep_reports(config, lambdas, algorithm_name: str, *,
         raise ValueError(f"workers must be at least 1, got {workers}")
     run = functools.partial(_sweep_worker, config, algorithm_name=algorithm_name,
                             progress_every=progress_every)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    if workers > 1:
+        # Imported here: it pulls in multiprocessing, which serial runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+        executor = ProcessPoolExecutor(max_workers=workers)
+    else:
+        executor = contextlib.nullcontext()
+    with executor as pool:
         outcomes = pool.map(run, profiles) if pool else map(run, profiles)
         reports = []
         for profile in profiles:

@@ -105,10 +105,21 @@ class BitRateEntry:
 
 
 class BitRateCatalog:
-    """Ordered bitrate entries; entry order matches the input document."""
+    """Ordered bitrate entries; entry order matches the input document.
+
+    No two entries share a bitrate: labels such as ``"10"`` and ``"10.0"``
+    would otherwise make that bitrate twice as likely to be drawn.
+    """
 
     def __init__(self, entries: Sequence[BitRateEntry]):
         self.entries = tuple(entries)
+        labels = {}
+        for entry in self.entries:
+            if entry.bitrate_gbps in labels:
+                raise ValueError(f"bitrate labels {labels[entry.bitrate_gbps]!r} "
+                                 f"and {entry.label!r} both give "
+                                 f"{entry.bitrate_gbps:g} Gbps")
+            labels[entry.bitrate_gbps] = entry.label
 
     def __len__(self) -> int:
         return len(self.entries)

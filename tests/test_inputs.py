@@ -247,10 +247,13 @@ class TestLocatedModelRules:
          "bit_rates['10'][1]", ["reach", "0.0"]),
         ("bit_rates", json.dumps({"10": [{**OPTION, "reach": float("nan")}]}),
          "bit_rates['10'][0]", ["reach", "nan"]),
+        ("bit_rates", json.dumps({"10": [OPTION], "40": [OPTION], "10.0": [OPTION]}),
+         "bit_rates", ["'10'", "'10.0'", "10 Gbps"]),
     ], ids=["self-loop", "negative-length", "nan-length", "infinite-length",
             "sparse-node-ids", "sparse-link-ids", "unknown-endpoint",
             "duplicate-pair", "path-ends-elsewhere", "zero-bitrate",
-            "nan-bitrate", "infinite-bitrate", "zero-reach", "nan-reach"])
+            "nan-bitrate", "infinite-bitrate", "zero-reach", "nan-reach",
+            "colliding-bitrate-labels"])
     def test_error_starts_with_its_json_path(self, kind, text, prefix, fragments):
         with pytest.raises(ValidationError) as excinfo:
             if kind == "network":
@@ -264,3 +267,26 @@ class TestLocatedModelRules:
         assert "network: network" not in message
         for fragment in fragments:
             assert fragment in message
+
+
+class TestDuplicateKeys:
+    """A key repeated in one JSON object is an error, not last-one-wins."""
+
+    @pytest.mark.parametrize("kind, text, key", [
+        ("network", doc().replace('"length": 100,', '"length": 100, "length": 7,', 1),
+         "length"),
+        ("routes", '{"name": "x", "routes": [{"src": 0, "dst": 1, '
+                   '"paths": [[0, 1]], "paths": [[0, 1]]}]}', "paths"),
+        ("bit_rates", f'{{"10": [{json.dumps(OPTION)}], '
+                      f'"10": [{json.dumps(OPTION)}]}}', "10"),
+        ("bit_rates", '{"10": [{"modulation": "BPSK", "slots": 1, '
+                      '"reach": 100, "reach": 50}]}', "reach"),
+    ], ids=["link-length", "route-paths", "catalog-label", "option-reach"])
+    def test_duplicate_key_is_a_schema_error_naming_it(self, kind, text, key):
+        with pytest.raises(SchemaError, match=f"duplicate key '{key}'"):
+            if kind == "network":
+                parse_network(text)
+            elif kind == "routes":
+                parse_routes(text, parse_network(doc()))
+            else:
+                parse_bit_rates(text)

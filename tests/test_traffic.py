@@ -261,3 +261,11 @@ class TestCatalogTypes:
         with pytest.raises(ValueError, match=f"^modulation 'BPSK': reach must be "
                                              f"finite and > 0, got {value}$"):
             eonsim.ModulationOption("BPSK", 1, value)
+
+    def test_catalog_rejects_two_labels_with_one_bitrate(self):
+        option = (eonsim.ModulationOption("BPSK", 1, 1.0),)
+        with pytest.raises(ValueError, match=r"^bitrate labels '10' and '10\.0' "
+                                             r"both give 10 Gbps$"):
+            eonsim.BitRateCatalog([eonsim.BitRateEntry(10.0, "10", option),
+                                   eonsim.BitRateEntry(40.0, "40", option),
+                                   eonsim.BitRateEntry(10.0, "10.0", option)])
