@@ -9,27 +9,36 @@ The example below is a "widest fit": it places each request in the middle
 of the largest joint free block of the first route that fits, and keeps a
 private statistic on the side.  It is deliberately simple, not good -- the
 point is the shape of the code.
+
+It reads the route's joint grid as a boolean ndarray through
+``intersection_grid``, so it needs numpy, which eonsim itself does not.
 """
+
+import itertools
 
 import eonsim
 from eonsim import ALLOCATED, NOT_ALLOCATED, data
-from eonsim.algorithms import exact_free_block, intersection_grid
+from eonsim.algorithms import FreeBlock, intersection_grid
 
 hop_histogram = {}  # private statistics live in plain module/closure state
+
+
+def widest_free_block(grid):
+    """Lowest of the longest runs of free (False) slots, or None if all are taken."""
+    best = None
+    start = 0
+    for occupied, run in itertools.groupby(grid.tolist()):
+        length = sum(1 for _ in run)
+        if not occupied and (best is None or length > best.length):
+            best = FreeBlock(start, start + length)
+        start += length
+    return best
 
 
 def widest_fit(ctx):
     need = ctx.request_slots(0)  # single-option catalog in this demo
     for route in range(ctx.route_count()):
-        grid = intersection_grid(ctx, route)
-
-        # largest maximal free run on this route
-        best = None
-        for size in range(grid.shape[0], need - 1, -1):
-            block = exact_free_block(grid, size)
-            if block is not None:
-                best = block
-                break
+        best = widest_free_block(intersection_grid(ctx, route))
         if best is None or best.length < need:
             continue
 

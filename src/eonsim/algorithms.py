@@ -18,7 +18,8 @@ high-to-low search the highest, and exact fit first looks for the lowest
 window that is a whole free run.
 The public kernels :func:`intersection_grid`, :func:`first_free_block` and
 :func:`exact_free_block` are ndarray adapters over the same mask kernels,
-kept for user algorithms; the bundled algorithms do not call them.
+kept for user algorithms; the bundled algorithms do not call them.  They
+need numpy, which eonsim does not install (see :mod:`eonsim.network`).
 """
 
 from __future__ import annotations
@@ -111,7 +112,10 @@ def intersection_grid(ctx: AllocationContext, route: int) -> np.ndarray:
 
 
 def _free_mask(grid: np.ndarray) -> int:
-    return ((1 << grid.shape[0]) - 1) ^ grid_to_mask(grid)
+    # grid_to_mask first, so that without numpy the adapters raise its
+    # ImportError even when handed a plain list.
+    occupied = grid_to_mask(grid)
+    return ((1 << grid.shape[0]) - 1) ^ occupied
 
 
 def first_free_block(grid: np.ndarray, size: int,

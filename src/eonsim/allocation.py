@@ -129,6 +129,7 @@ class LinkView:
         return f"LinkView({self._link!r})"
 
 
+@functools.lru_cache(maxsize=None)
 def _shift_schedule(size: int) -> tuple[int, ...]:
     """Right shifts whose successive ANDs turn a free mask into window starts.
 
@@ -191,7 +192,7 @@ class AllocationContext:
     """Everything one allocation callback may see and do for one request."""
 
     __slots__ = ("src", "dst", "_network", "_routes", "_request", "_staged",
-                 "strict_audit", "_plan")
+                 "_strict_audit", "_plan")
 
     def __init__(self, network: Network, src: int, dst: int,
                  routes: tuple[Route, ...], request: BitRateEntry,
@@ -202,8 +203,18 @@ class AllocationContext:
         self._routes = routes
         self._request = request
         self._staged: list[tuple[int, int, int]] = []
-        self.strict_audit = strict_audit
+        self._strict_audit = strict_audit
         self._plan: tuple[RoutePlan, ...] | None = None
+
+    @property
+    def strict_audit(self) -> bool:
+        """Whether commits are audited; fixed by the constructor.
+
+        Read-only, so an allocator cannot switch the audit off for its own
+        commit: assigning it raises ``AttributeError``, which aborts the
+        run as an allocator fault.
+        """
+        return self._strict_audit
 
     # -- candidate route reads -------------------------------------------
 
@@ -323,7 +334,7 @@ class AllocationContext:
         identical interval on every staged link.  On any error the live
         grids are left bit-identical to their prior state.
         """
-        if self.strict_audit and self._staged:
+        if self._strict_audit and self._staged:
             self._audit()
         links = self._network.links
         staged = self._staged

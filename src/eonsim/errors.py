@@ -35,7 +35,10 @@ class HeterogeneousSlotCountsError(EonSimError):
 # -- traffic generation --------------------------------------------------------
 
 class NonPositiveRateError(EonSimError):
-    """An exponential rate parameter must be strictly positive."""
+    """An exponential rate parameter must be finite and strictly positive.
+
+    Raised for zero, negative, infinite and NaN rates.
+    """
 
 
 class DegenerateNetworkError(EonSimError):

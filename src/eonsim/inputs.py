@@ -35,7 +35,7 @@ bitrate, at least one option) and ``BitRateCatalog`` (no two labels with
 the same bitrate); a missing hop is a ``NoSuchLinkError`` from
 ``Network.link_by_endpoints``.  The parsers check only the document's shape
 (:class:`~eonsim.errors.SchemaError`; a key repeated within one JSON object
-is one) and turn a model's rejection into a
+is one, located at that object) and turn a model's rejection into a
 :class:`~eonsim.errors.ValidationError` that starts with the JSON path:
 ``links[i]``, ``routes[i].paths[j]``, ``bit_rates['label'][j]``, or
 ``network`` and ``bit_rates`` for rules over the whole document.
@@ -66,25 +66,61 @@ _ROUTE_FIELDS = {"src", "dst", "paths"}
 _OPTION_FIELDS = {"modulation", "slots", "reach"}
 
 
-def _unique_keys(pairs):
-    """``object_pairs_hook`` for ``json.loads``: a dict, or a duplicate-key error.
+def _load_document(text: str, root: str):
+    """Parse JSON text; a key repeated in one object is a located ``SchemaError``.
 
     Plain ``json.loads`` keeps only the last of two equal keys, which would
-    silently drop a field or a whole bitrate entry.
+    silently drop a field or a whole bitrate entry.  The object hook sees
+    one object's pairs but not where the object sits, so it only notes each
+    object that repeats a key; the document is walked for the path of the
+    first such object only when there is one.  ``root`` names the document
+    in paths (``network``, ``routes`` or ``bit_rates``).
     """
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise SchemaError(f"duplicate key {key!r} in one JSON object")
-        obj[key] = value
-    return obj
+    repeats = {}  # id(object) -> (object, repeated key); keeps objects alive
 
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    repeats[id(obj)] = (obj, key)
+                    break
+                seen.add(key)
+        return obj
 
-def _load_document(text: str):
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise MalformedDocumentError(f"not valid JSON: {err}") from err
+    if repeats:
+        for path, obj in _objects(doc, root, root):
+            if id(obj) in repeats:
+                raise SchemaError(
+                    f"{path}: duplicate key {repeats[id(obj)][1]!r}")
+    return doc
+
+
+def _objects(node, path, root=None):
+    """Every JSON object under ``node`` with its path, outer objects first.
+
+    Paths follow the parsers: members of the document object are named
+    plainly (``links[3]``), except bitrate labels (``bit_rates['10'][0]``);
+    deeper members are joined with a dot (``links[3].extra``).
+    """
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            if root is None:
+                member = f"{path}.{key}"
+            elif root == "bit_rates":
+                member = f"{root}[{key!r}]"
+            else:
+                member = key
+            yield from _objects(value, member)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _objects(value, f"{path}[{i}]")
 
 
 def _require(mapping, key, kind, path):
@@ -123,7 +159,7 @@ def _build(path, make, *args):
 
 def parse_network(text: str) -> Network:
     """Parse and validate a network topology document."""
-    doc = _load_document(text)
+    doc = _load_document(text, "network")
     name = _require(doc, "name", str, "network")
     nodes_doc = _require(doc, "nodes", list, "network")
     links_doc = _require(doc, "links", list, "network")
@@ -150,7 +186,7 @@ def parse_network(text: str) -> Network:
 
 def parse_routes(text: str, network: Network) -> RouteSet:
     """Parse candidate routes, resolving node sequences against the network."""
-    doc = _load_document(text)
+    doc = _load_document(text, "routes")
     _require(doc, "name", str, "routes")
     routes_doc = _require(doc, "routes", list, "routes")
     _warn_unknown(doc, _ROUTES_FIELDS, "routes")
@@ -175,7 +211,7 @@ def parse_routes(text: str, network: Network) -> RouteSet:
 
 def parse_bit_rates(text: str) -> BitRateCatalog:
     """Parse a bitrate catalog; entry and option order follow the document."""
-    doc = _load_document(text)
+    doc = _load_document(text, "bit_rates")
     if not isinstance(doc, dict):
         raise SchemaError("bit_rates: expected an object keyed by bitrate label")
     entries = []

@@ -9,8 +9,15 @@ mutated through :meth:`Link.occupy_slots` / :meth:`Link.release_slots`,
 both of which validate first and leave the grid untouched when they fail.
 :attr:`Link.occupancy` hands out the grid as a boolean ndarray snapshot;
 :func:`grid_to_mask` and :func:`mask_to_grid` convert between the two forms.
-They are the package's only numpy users and import it on their first call,
-so ``import eonsim`` and a simulation never load numpy.
+
+numpy is optional: eonsim installs without it, and importing, parsing,
+every simulation and the CLI run on the standard library alone.
+:func:`grid_to_mask` and :func:`mask_to_grid` are the package's only numpy
+users and import it on their first call.  Five public calls reach numpy
+through them: ``Link.occupancy``, ``LinkView.occupancy``,
+``algorithms.intersection_grid``, ``algorithms.first_free_block`` and
+``algorithms.exact_free_block``.  Without numpy installed they raise an
+``ImportError`` that names numpy.
 """
 
 from __future__ import annotations

@@ -131,14 +131,19 @@ class BitRateCatalog:
         return iter(self.entries)
 
 
+_INF = math.inf
+
+
 def next_exponential(stream: Random, rate: float) -> float:
     """One exponential inter-event time, ``-ln(U)/rate`` with U in (0, 1).
 
-    Always strictly positive; advances the stream by one ``random()`` draw
+    ``rate`` must be finite and > 0, as :class:`TrafficProfile` requires;
+    otherwise :class:`~eonsim.errors.NonPositiveRateError`.  Always
+    strictly positive; advances the stream by one ``random()`` draw
     (a zero draw, probability 2**-53, is redrawn).
     """
-    if rate <= 0:
-        raise NonPositiveRateError(f"rate must be > 0, got {rate}")
+    if not 0.0 < rate < _INF:  # also false for NaN
+        raise NonPositiveRateError(f"rate must be finite and > 0, got {rate}")
     u = stream.random()
     while u <= 0.0:
         u = stream.random()

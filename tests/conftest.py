@@ -5,6 +5,16 @@ from eonsim import data
 
 
 @pytest.fixture
+def np():
+    """numpy, for tests that build or read an ndarray; they skip without it.
+
+    eonsim does not depend on numpy: only the ndarray adapters and
+    ``occupancy`` need it, so every other test runs without it.
+    """
+    return pytest.importorskip("numpy")
+
+
+@pytest.fixture
 def link8():
     return eonsim.Link(0, 0, 1, 100.0, 8)
 

@@ -7,7 +7,6 @@ the full grid of simulations takes a few minutes.
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 import eonsim
@@ -123,7 +122,7 @@ def test_criterion_1_erlang_b_cross_check(loss_system_run):
     verdict(1, "Erlang-B analytic cross-check", check)
 
 
-def test_criterion_2_slot_search_oracle_equivalence():
+def test_criterion_2_slot_search_oracle_equivalence(np):
     def brute_first(cells, size, high_to_low):
         starts = [i for i in range(len(cells) - size + 1)
                   if not any(cells[i:i + size])]

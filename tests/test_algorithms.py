@@ -1,7 +1,6 @@
 import dataclasses
 import random
 
-import numpy as np
 import pytest
 
 import eonsim
@@ -26,6 +25,7 @@ HIGH = SearchDirection.HIGH_TO_LOW
 
 
 def grid(size, occupied=()):
+    np = pytest.importorskip("numpy")
     out = np.zeros(size, dtype=bool)
     for slot in occupied:
         out[slot] = True
@@ -92,7 +92,7 @@ GRID_SIZES = [1, 63, 64, 65, 127, 128, 129, 320]
 
 class TestIntersectionGrid:
     def test_single_link_route_equals_its_grid(self, chain_net, chain_routes,
-                                               one_slot_catalog):
+                                               one_slot_catalog, np):
         chain_net.links[0].occupy_slots(1, 3)
         ctx = make_ctx(chain_net, chain_routes, 0, 1, one_slot_catalog[0])
         joint = intersection_grid(ctx, 0)
@@ -100,14 +100,15 @@ class TestIntersectionGrid:
         joint[0] = True  # a detached copy, never the live grid
         assert not chain_net.links[0].occupancy[0]
 
-    def test_union_of_occupied_sets(self, chain_net, chain_routes, one_slot_catalog):
+    def test_union_of_occupied_sets(self, chain_net, chain_routes,
+                                    one_slot_catalog, np):
         chain_net.links[0].occupy_slots(0, 2)
         chain_net.links[2].occupy_slots(3, 4)
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0])
         assert set(np.flatnonzero(intersection_grid(ctx, 0))) == {0, 1, 3}
 
     def test_all_free_links_give_all_free_grid(self, chain_net, chain_routes,
-                                               one_slot_catalog):
+                                               one_slot_catalog, np):
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0])
         assert not intersection_grid(ctx, 0).any()
 
@@ -157,10 +158,15 @@ class TestExactFreeBlock:
     def test_no_match(self):
         assert exact_free_block(grid(8, {0, 1, 2, 3, 4, 5, 6, 7}), 1) is None
 
+    def test_size_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^block size must be >= 1, got 0$"):
+            exact_free_block(grid(8), 0)
+
 
 class TestOracleEquivalence:
     @staticmethod
     def assert_kernels_match(cells, size):
+        np = pytest.importorskip("numpy")
         occ = np.array(cells, dtype=bool)
         for high in (False, True):
             got = first_free_block(occ, size, HIGH if high else LOW)
@@ -195,7 +201,7 @@ class TestOracleEquivalence:
 
 
     @pytest.mark.parametrize("n", GRID_SIZES)
-    def test_every_width_matches_a_scan(self, n):
+    def test_every_width_matches_a_scan(self, n, np):
         rng = random.Random(1000 + n)
         for cells in boundary_grids(n, rng, random_count=8):
             occ = np.array(cells, dtype=bool)
@@ -290,6 +296,7 @@ class TestSearchAgainstBruteForce:
 
     @staticmethod
     def brute_search(ctx, pick):
+        np = pytest.importorskip("numpy")
         for route in range(ctx.route_count()):
             links = [ctx.link_in_route(route, i)
                      for i in range(ctx.link_count_in_route(route))]

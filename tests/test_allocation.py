@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import eonsim
@@ -63,11 +62,18 @@ class TestRouteReads:
         with pytest.raises(LinkIndexOutOfRangeError):
             chain_ctx.link_in_route(0, chain_ctx.link_count_in_route(0))
 
-    def test_view_exposes_no_grid_mutation(self, chain_ctx):
+    def test_view_exposes_no_grid_mutation(self, chain_ctx, np):
         view = chain_ctx.link_in_route(0, 0)
         assert not hasattr(view, "occupy_slots")
         with pytest.raises(ValueError):
             view.occupancy[0] = True
+
+    @pytest.mark.parametrize("slot", [-1, 8])
+    def test_view_slot_out_of_range(self, chain_ctx, slot):
+        view = chain_ctx.link_in_route(0, 0)
+        with pytest.raises(OutOfBoundsError,
+                           match=rf"^slot {slot} outside the 8-slot grid of link 0$"):
+            view.is_slot_occupied(slot)
 
     def test_view_grid_queries(self, chain_net, chain_ctx):
         chain_net.links[0].occupy_slots(3, 5)
@@ -150,7 +156,7 @@ class TestStaging:
         chain_ctx.discard_staged()
         assert chain_ctx.staged == ()
 
-    def test_stage_discard_stage_commits_only_second(self, chain_net, chain_ctx):
+    def test_stage_discard_stage_commits_only_second(self, chain_net, chain_ctx, np):
         chain_ctx.alloc_slots(0, 0, 2)
         chain_ctx.discard_staged()
         chain_ctx.alloc_slots(0, 4, 6)
@@ -191,7 +197,8 @@ class TestCommit:
         chain_ctx.commit_staged()
         assert chain_net.links[0].occupied_count == 4
 
-    def test_non_strict_mode_skips_audit(self, chain_net, chain_routes, one_slot_catalog):
+    def test_non_strict_mode_skips_audit(self, chain_net, chain_routes,
+                                         one_slot_catalog, np):
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0],
                        strict_audit=False)
         ctx.alloc_slots(0, 0, 2)
@@ -199,7 +206,7 @@ class TestCommit:
         ctx.commit_staged()
         assert set(np.flatnonzero(chain_net.links[0].occupancy)) == {0, 1, 4, 5}
 
-    def test_commit_conflict_with_live_connection(self, chain_net, chain_ctx):
+    def test_commit_conflict_with_live_connection(self, chain_net, chain_ctx, np):
         chain_net.links[2].occupy_slots(0, 4)
         before = [link.occupancy.copy() for link in chain_net.links]
         chain_ctx.alloc_slots(0, 0, 4)

@@ -95,6 +95,13 @@ def test_bad_lambda_csv(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_empty_lambda_list_rejected(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--lambda", ",")
+    assert code == 2
+    assert capsys.readouterr().err == "eonsim: --lambda needs at least one rate\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_rejected(tmp_path, capsys, workers):
     code, out = run_cli(tmp_path, "--workers", workers)

@@ -4,7 +4,6 @@ import heapq
 import io
 import weakref
 
-import numpy as np
 import pytest
 
 import eonsim
@@ -139,7 +138,7 @@ class TestRunBasics:
         assert sim.run() is sim.run()
 
     def test_accepted_arrival_occupies_and_schedules_departure(
-            self, chain_net, chain_routes, one_slot_catalog):
+            self, chain_net, chain_routes, one_slot_catalog, np):
         after_arrival = []
 
         def listener(sim, event):
@@ -206,6 +205,35 @@ class TestAllocatorFaults:
         with pytest.raises(AllocatorFaultError) as excinfo:
             sim.run()
         assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+
+    def test_allocator_fault_is_reraised_unwrapped(self, pair_config):
+        fault = AllocatorFaultError("the allocator's own fault")
+
+        def faulty(ctx):
+            raise fault
+
+        sim = Simulator(pair_config(goal=1), faulty)
+        sim.init()
+        with pytest.raises(AllocatorFaultError,
+                           match="^the allocator's own fault$") as excinfo:
+            sim.run()
+        assert excinfo.value is fault
+
+    def test_allocator_cannot_switch_the_audit_off(self, pair_net, pair_config):
+        # Two non-adjacent slots on one link fail the contiguity audit; an
+        # allocator must not be able to skip the audit for its own commit.
+        def split_without_audit(ctx):
+            ctx.strict_audit = False
+            ctx.alloc_slots(0, 0, 1)
+            ctx.alloc_slots(0, 2, 3)
+            return ALLOCATED
+
+        sim = Simulator(pair_config(goal=200), split_without_audit)
+        sim.init()
+        with pytest.raises(AllocatorFaultError, match="strict_audit"):
+            sim.run()
+        assert sim.report.accepted == 0
+        assert pair_net.all_grids_free()
 
     def test_commit_conflict_aborts(self, pair_net, pair_routes, one_slot_catalog):
         # every request claims slot 0 of link 0 and never departs in time
@@ -293,7 +321,7 @@ class TestEventQueue:
 
 class TestInvariantsUnderListener:
     def test_clock_monotone_and_no_double_booking(self, nsfnet, nsfnet_routes,
-                                                  bpsk_catalog):
+                                                  bpsk_catalog, np):
         times = []
 
         def audit(sim, event):
@@ -463,7 +491,7 @@ class TestLifecycleViews:
 class TestCommitWithoutRollback:
     def test_conflict_on_last_range_touches_no_grid(self, chain_net,
                                                     chain_routes,
-                                                    one_slot_catalog):
+                                                    one_slot_catalog, np):
         chain_net.links[3].occupy_slots(3, 4)  # a live connection
         before = [link.occupancy.copy() for link in chain_net.links]
         ctx = eonsim.AllocationContext(

@@ -272,21 +272,53 @@ class TestLocatedModelRules:
 class TestDuplicateKeys:
     """A key repeated in one JSON object is an error, not last-one-wins."""
 
-    @pytest.mark.parametrize("kind, text, key", [
+    @pytest.mark.parametrize("kind, text, key, path", [
         ("network", doc().replace('"length": 100,', '"length": 100, "length": 7,', 1),
-         "length"),
+         "length", "links[0]"),
         ("routes", '{"name": "x", "routes": [{"src": 0, "dst": 1, '
-                   '"paths": [[0, 1]], "paths": [[0, 1]]}]}', "paths"),
+                   '"paths": [[0, 1]], "paths": [[0, 1]]}]}', "paths", "routes[0]"),
         ("bit_rates", f'{{"10": [{json.dumps(OPTION)}], '
-                      f'"10": [{json.dumps(OPTION)}]}}', "10"),
+                      f'"10": [{json.dumps(OPTION)}]}}', "10", "bit_rates"),
         ("bit_rates", '{"10": [{"modulation": "BPSK", "slots": 1, '
-                      '"reach": 100, "reach": 50}]}', "reach"),
-    ], ids=["link-length", "route-paths", "catalog-label", "option-reach"])
-    def test_duplicate_key_is_a_schema_error_naming_it(self, kind, text, key):
-        with pytest.raises(SchemaError, match=f"duplicate key '{key}'"):
+                      '"reach": 100, "reach": 50}]}', "reach", "bit_rates['10'][0]"),
+        ("network", '{"name": "x", "name": "y", "nodes": [], "links": []}',
+         "name", "network"),
+        ("network", doc().replace('"slots": 8}', '"slots": 8, '
+                                  '"note": {"by": "a", "by": "b"}}', 1),
+         "by", "links[0].note"),
+        ("routes", '{"name": "x", "routes": [{"src": 0, "dst": 1, "paths": [[0, 1]]}, '
+                   '{"src": 1, "dst": 0, "dst": 0, "paths": [[1, 0]]}]}',
+         "dst", "routes[1]"),
+    ], ids=["link-length", "route-paths", "catalog-label", "option-reach",
+            "network-name", "unknown-field", "second-route"])
+    def test_duplicate_key_is_a_schema_error_naming_it(self, kind, text, key, path):
+        with pytest.raises(SchemaError, match=f"duplicate key '{key}'") as excinfo:
             if kind == "network":
                 parse_network(text)
             elif kind == "routes":
                 parse_routes(text, parse_network(doc()))
             else:
                 parse_bit_rates(text)
+        assert str(excinfo.value) == f"{path}: duplicate key '{key}'"
+
+
+class TestDocumentShape:
+    """Shape errors name the JSON path and what was found there."""
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("network", doc(links=[5]), "links[0]: expected an object, got int"),
+        ("network", _with_link(0, length=True),
+         "links[0].length: expected a number, got bool"),
+        ("network", _with_link(1, length="100"),
+         "links[1].length: expected a number, got str"),
+        ("network", _with_link(2, slots=8.0),
+         "links[2].slots: expected an integer, got float"),
+        ("bit_rates", json.dumps({"10": OPTION}),
+         "bit_rates['10']: expected a list of options, got dict"),
+    ], ids=["non-object", "bool-number", "string-number", "float-integer",
+            "options-not-a-list"])
+    def test_message_names_path_and_found_type(self, kind, text, message):
+        parse = parse_network if kind == "network" else parse_bit_rates
+        with pytest.raises(SchemaError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == message

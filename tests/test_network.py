@@ -1,6 +1,6 @@
 import random
+import re
 
-import numpy as np
 import pytest
 
 import eonsim
@@ -13,6 +13,7 @@ from eonsim.errors import (
 
 
 def occupied_set(link):
+    np = pytest.importorskip("numpy")
     return set(np.flatnonzero(link.occupancy))
 
 
@@ -21,7 +22,7 @@ class TestSlotGrid:
         link8.occupy_slots(0, 2)
         assert occupied_set(link8) == {0, 1}
 
-    def test_occupy_overlap_rejected_and_grid_unchanged(self, link8):
+    def test_occupy_overlap_rejected_and_grid_unchanged(self, link8, np):
         link8.occupy_slots(0, 2)
         before = link8.occupancy.copy()
         with pytest.raises(AlreadyOccupiedError):
@@ -38,6 +39,13 @@ class TestSlotGrid:
         with pytest.raises(OutOfBoundsError):
             link8.occupy_slots(start, stop)
 
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (0, 9), (3, 3)])
+    def test_release_out_of_bounds(self, link8, start, stop):
+        with pytest.raises(OutOfBoundsError, match=(
+                rf"^slot range \[{start}, {stop}\) outside the 8-slot grid "
+                r"of link 0$")):
+            link8.release_slots(start, stop)
+
     def test_release_is_inverse_of_occupy(self, link8):
         link8.occupy_slots(0, 2)
         link8.release_slots(0, 2)
@@ -52,7 +60,7 @@ class TestSlotGrid:
         link8.release_slots(0, 2)
         assert occupied_set(link8) == {2, 3}
 
-    def test_failed_release_leaves_grid_unchanged(self, link8):
+    def test_failed_release_leaves_grid_unchanged(self, link8, np):
         link8.occupy_slots(0, 2)
         before = link8.occupancy.copy()
         with pytest.raises(NotOccupiedError):
@@ -75,7 +83,7 @@ class TestSlotGrid:
         with pytest.raises(OutOfBoundsError):
             link8.is_range_free(0, 9)
 
-    def test_occupancy_view_is_read_only(self, link8):
+    def test_occupancy_view_is_read_only(self, link8, np):
         with pytest.raises(ValueError):
             link8.occupancy[0] = True
 
@@ -183,6 +191,27 @@ class TestRoutes:
         routes = eonsim.RouteSet()
         with pytest.raises(ValueError):
             routes.add_route(chain_net, 0, 2, [0, 3])  # 0->1 then 2->1
+
+    def test_route_links_must_chain(self, chain_net):
+        # starts at 0 and ends at 1, but link 0 (0->1) is not followed by
+        # a link leaving node 1: link 3 is 2->1
+        routes = eonsim.RouteSet()
+        with pytest.raises(ValueError, match=(
+                r"^route for \(0, 1\): link 0 ends at 1 but link 3 starts at 2$")):
+            routes.add_route(chain_net, 0, 1, [0, 3])
+
+    def test_route_needs_a_link(self, chain_net):
+        routes = eonsim.RouteSet()
+        with pytest.raises(ValueError, match=(
+                r"^route for \(0, 2\) must contain at least one link$")):
+            routes.add_route(chain_net, 0, 2, [])
+
+    @pytest.mark.parametrize("node_path", [[], [0]])
+    def test_node_path_needs_two_nodes(self, chain_net, node_path):
+        routes = eonsim.RouteSet()
+        message = f"node path {node_path} needs at least two nodes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            routes.add_node_path(chain_net, node_path)
 
     def test_route_must_start_at_src(self, chain_net):
         routes = eonsim.RouteSet()

@@ -1,9 +1,18 @@
-"""Start-up cost: ``import eonsim`` and a serial run load only what they use.
+"""Start-up cost and the optional numpy: each check runs in a fresh interpreter.
 
-numpy is needed only by the ndarray adapters and ``occupancy``, and the
-process pool only by ``sweep_reports(workers > 1)``; both are imported on
-first use.  Each check runs in a fresh interpreter, because this test
-process has long since imported both.
+numpy is optional: eonsim does not install it, and importing, parsing,
+every simulation and the CLI need only the standard library.  Five calls
+need numpy, and import it on their first call: ``Link.occupancy``,
+``LinkView.occupancy``, ``intersection_grid``, ``first_free_block`` and
+``exact_free_block``.  Without numpy they raise an ``ImportError`` that
+names it.  The process pool is needed only by ``sweep_reports(workers > 1)``
+and is likewise imported on first use.
+
+Each check runs in a new interpreter, because this test process has long
+since imported both.  The hidden-numpy guard sets ``sys.modules["numpy"]``
+to None before anything else, which makes every ``import numpy`` fail as
+if numpy were not installed, and compares its runs with the same runs in
+an interpreter where numpy is available.
 """
 
 import json
@@ -27,10 +36,13 @@ def loaded():
     return [name for name in HEAVY if name in sys.modules]
 """
 
+HIDE_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'
 
-def run_fresh(body: str, *argv: str) -> dict:
+
+def run_fresh(body: str, *argv: str, prelude: str = "") -> dict:
     """Run ``body`` in a new interpreter; it must set ``result`` to a dict."""
-    code = PRELUDE + textwrap.dedent(body) + "\nprint(json.dumps(result))\n"
+    code = (prelude + PRELUDE + textwrap.dedent(body)
+            + "\nprint(json.dumps(result))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -38,35 +50,12 @@ def run_fresh(body: str, *argv: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.fixture(scope="module")
-def import_then_adapters():
-    return run_fresh("""
+def test_import_loads_no_heavy_module():
+    result = run_fresh("""
         import eonsim
-        after_import = loaded()
-
-        from eonsim.algorithms import intersection_grid
-        network = eonsim.Network.build("pair", 2, [(0, 1, 1.0, 8), (1, 0, 1.0, 8)])
-        routes = eonsim.RouteSet()
-        routes.add_node_path(network, [0, 1])
-        network.links[0].occupy_slots(2, 5)
-        option = eonsim.ModulationOption("BPSK", 1, 1e9)
-        entry = eonsim.BitRateEntry(10.0, "10", (option,))
-        ctx = eonsim.AllocationContext(network, 0, 1, routes.routes_for(0, 1), entry)
-        grids = {"intersection_grid": intersection_grid(ctx, 0),
-                 "occupancy": network.links[0].occupancy}
-        result = {
-            "after_import": after_import,
-            "after_adapters": loaded(),
-            "grids": {name: {"ndarray": type(grid) is sys.modules["numpy"].ndarray,
-                             "dtype": str(grid.dtype),
-                             "values": grid.tolist()}
-                      for name, grid in grids.items()},
-        }
+        result = {"loaded": loaded()}
     """)
-
-
-def test_import_loads_no_heavy_module(import_then_adapters):
-    assert import_then_adapters["after_import"] == []
+    assert result["loaded"] == []
 
 
 def test_parse_and_run_load_no_heavy_module():
@@ -110,8 +99,116 @@ def test_serial_cli_run_loads_no_heavy_module(tmp_path):
     assert result["loaded"] == []
 
 
-def test_adapters_import_numpy_on_first_call(import_then_adapters):
-    assert "numpy" in import_then_adapters["after_adapters"]
+def test_adapters_import_numpy_on_first_call(np):
+    result = run_fresh("""
+        import eonsim
+        after_import = loaded()
+
+        from eonsim.algorithms import intersection_grid
+        network = eonsim.Network.build("pair", 2, [(0, 1, 1.0, 8), (1, 0, 1.0, 8)])
+        routes = eonsim.RouteSet()
+        routes.add_node_path(network, [0, 1])
+        network.links[0].occupy_slots(2, 5)
+        option = eonsim.ModulationOption("BPSK", 1, 1e9)
+        entry = eonsim.BitRateEntry(10.0, "10", (option,))
+        ctx = eonsim.AllocationContext(network, 0, 1, routes.routes_for(0, 1), entry)
+        grids = {"intersection_grid": intersection_grid(ctx, 0),
+                 "occupancy": network.links[0].occupancy}
+        result = {
+            "after_import": after_import,
+            "after_adapters": loaded(),
+            "grids": {name: {"ndarray": type(grid) is sys.modules["numpy"].ndarray,
+                             "dtype": str(grid.dtype),
+                             "values": grid.tolist()}
+                      for name, grid in grids.items()},
+        }
+    """)
+    assert result["after_import"] == []
+    assert "numpy" in result["after_adapters"]
     expected = [2 <= slot < 5 for slot in range(8)]
-    for name, grid in import_then_adapters["grids"].items():
+    for name, grid in result["grids"].items():
         assert grid == {"ndarray": True, "dtype": "bool", "values": expected}, name
+
+
+#: Parses the three bundled NSFNet documents, runs FF, EF and FLF and two CLI
+#: sweeps, and reports their counts and ``.dat`` bytes.
+CORE_RUNS = """
+    import contextlib, io, os
+    import eonsim
+    from eonsim import algorithms, data
+    from eonsim.cli import main
+
+    network = data.load_nsfnet()
+    routes = data.load_nsfnet_routes(network)
+    catalog = data.load_bit_rates()
+    counts = {}
+    for name, allocator in eonsim.ALGORITHMS.items():
+        config = eonsim.SimulatorConfig(
+            network=network.fresh_copy(), routes=routes, catalog=catalog,
+            profile=eonsim.TrafficProfile(arrival_rate=1500.0, departure_rate=10.0,
+                                          goal_connections=2000),
+        )
+        sim = eonsim.Simulator(config, allocator, algorithm_name=name)
+        sim.init()
+        report = sim.run()
+        counts[name] = [report.processed, report.accepted, report.blocked]
+
+    dat = {}
+    for workers in ("1", "2"):
+        out = os.path.join(sys.argv[1], f"workers{workers}.dat")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--network", str(data.data_path("nsfnet_network.json")),
+                         "--routes", str(data.data_path("nsfnet_routes_k3.json")),
+                         "--algorithm", "EF", "--goal", "2000",
+                         "--lambda", "180,1500", "--workers", workers,
+                         "--progress", "0", "--out", out])
+        with open(out, "rb") as handle:
+            dat[workers] = [code, handle.read().hex()]
+    result = {"counts": counts, "dat": dat}
+"""
+
+#: Appended to ``CORE_RUNS``: what each of the five ndarray calls raises.
+NDARRAY_CALLS = """
+    ctx = eonsim.AllocationContext(network, 0, 1, routes.routes_for(0, 1),
+                                   catalog[0])
+    ndarray_calls = {
+        "Link.occupancy": lambda: network.links[0].occupancy,
+        "LinkView.occupancy": lambda: ctx.link_in_route(0, 0).occupancy,
+        "intersection_grid": lambda: algorithms.intersection_grid(ctx, 0),
+        "first_free_block": lambda: algorithms.first_free_block([False] * 8, 1),
+        "exact_free_block": lambda: algorithms.exact_free_block([False] * 8, 1),
+    }
+    raised = {}
+    for name, call in ndarray_calls.items():
+        try:
+            call()
+        except ImportError as err:
+            raised[name] = str(err)
+        else:
+            raised[name] = None
+    result["raised"] = raised
+"""
+
+
+def test_core_runs_with_numpy_hidden(tmp_path):
+    hidden_dir = tmp_path / "hidden"
+    normal_dir = tmp_path / "normal"
+    hidden_dir.mkdir()
+    normal_dir.mkdir()
+    hidden = run_fresh(CORE_RUNS + NDARRAY_CALLS, str(hidden_dir),
+                       prelude=HIDE_NUMPY)
+    normal = run_fresh(CORE_RUNS, str(normal_dir))
+
+    assert set(hidden["counts"]) == {"FF", "EF", "FLF"}
+    for name, (processed, accepted, blocked) in hidden["counts"].items():
+        assert processed == accepted + blocked == 2000, name
+    assert hidden["counts"] == normal["counts"]
+
+    assert hidden["dat"]["1"][0] == hidden["dat"]["2"][0] == 0
+    assert len(bytes.fromhex(hidden["dat"]["1"][1]).splitlines()) == 2
+    assert hidden["dat"]["1"] == hidden["dat"]["2"]
+    assert hidden["dat"] == normal["dat"]
+
+    assert len(hidden["raised"]) == 5
+    for name, message in hidden["raised"].items():
+        assert message is not None and "numpy" in message, name

@@ -44,7 +44,7 @@ class TestNextExponential:
         stream = RngStreams(Seeds()).arrival
         assert all(next_exponential(stream, 5.0) > 0 for _ in range(10_000))
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_non_positive_rate(self, rate):
         with pytest.raises(NonPositiveRateError):
             next_exponential(RngStreams().arrival, rate)
