@@ -112,10 +112,8 @@ def intersection_grid(ctx: AllocationContext, route: int) -> np.ndarray:
 
 
 def _free_mask(grid: np.ndarray) -> int:
-    # grid_to_mask first, so that without numpy the adapters raise its
-    # ImportError even when handed a plain list.
-    occupied = grid_to_mask(grid)
-    return ((1 << grid.shape[0]) - 1) ^ occupied
+    occupied, slot_count = grid_to_mask(grid)
+    return ((1 << slot_count) - 1) ^ occupied
 
 
 def first_free_block(grid: np.ndarray, size: int,

@@ -59,7 +59,11 @@ class EventKind(IntEnum):
 
 
 class Event(NamedTuple):
-    """A queued simulation event; field order defines the queue ordering."""
+    """An event as an ``event_listener`` sees it.
+
+    The queue itself holds plain tuples in this field order, which defines
+    the queue ordering.
+    """
 
     time: float
     kind: EventKind
@@ -97,8 +101,9 @@ class Simulator:
         sim.init()
         report = sim.run()
 
-    The configuration is frozen; the allocator can only be (re)assigned
-    before :meth:`init`.  A simulator instance performs exactly one run.
+    The configuration and the allocator are fixed at construction; an
+    allocator of ``None`` is rejected by :meth:`init`.  A simulator
+    instance performs exactly one run.
 
     Queued events are plain ``(time, kind, event_id, connection_id)``
     tuples; ``event_listener`` is called after each event with an
@@ -107,7 +112,7 @@ class Simulator:
     """
 
     def __init__(self, config: SimulatorConfig,
-                 allocator: Callable[[AllocationContext], object] | None = None,
+                 allocator: Callable[[AllocationContext], object] | None,
                  *,
                  algorithm_name: str | None = None,
                  progress_every: int | None = None,
@@ -133,43 +138,6 @@ class Simulator:
         # (src, dst, bitrate index) -> (routes, search plan, bitrate entry),
         # filled on first use.
         self._plans: dict[tuple[int, int, int], tuple] = {}
-
-    # -- wiring ------------------------------------------------------------
-
-    @classmethod
-    def from_files(cls, network_path, routes_path, bit_rates_path=None,
-                   **kwargs) -> "Simulator":
-        """Build a simulator from the three input documents.
-
-        When ``bit_rates_path`` is omitted the bundled default bitrate
-        catalog is used.  Keyword arguments beyond the file paths are
-        forwarded: ``profile``, ``seeds`` and ``strict_audit`` go into the
-        configuration, the rest to the constructor.
-        """
-        from . import data
-        from .inputs import load_bit_rates, load_network, load_routes
-
-        network = load_network(network_path)
-        routes = load_routes(routes_path, network)
-        if bit_rates_path is None:
-            catalog = data.load_bit_rates()
-        else:
-            catalog = load_bit_rates(bit_rates_path)
-        config = SimulatorConfig(
-            network=network, routes=routes, catalog=catalog,
-            profile=kwargs.pop("profile", TrafficProfile()),
-            seeds=kwargs.pop("seeds", Seeds()),
-            strict_audit=kwargs.pop("strict_audit", True),
-        )
-        return cls(config, **kwargs)
-
-    def use_allocator(self, allocator, name: str | None = None) -> None:
-        """Assign the allocation callback; rejected after init()."""
-        if self._initialized:
-            raise AlreadyInitializedError(
-                "the simulator accepts no changes after init()")
-        self._allocator = allocator
-        self._algorithm_name = name or getattr(allocator, "__name__", "unnamed")
 
     # -- read-only state -----------------------------------------------------
 
@@ -201,7 +169,7 @@ class Simulator:
         if self._initialized:
             raise AlreadyInitializedError("init() may only be called once")
         if self._allocator is None:
-            raise NoAllocatorSetError("assign an allocation callback before init()")
+            raise NoAllocatorSetError("the simulator was built with no allocator")
         config = self._config
         if config.network.node_count < 2 or not config.network.links:
             raise InvalidConfigError(
@@ -221,14 +189,11 @@ class Simulator:
             strict_audit=config.strict_audit,
         )
         first = next_exponential(self._streams.arrival, config.profile.arrival_rate)
-        self.schedule_event(Event(first, EventKind.ARRIVAL, next(self._event_ids)))
+        if first < 0.0:
+            raise _time_in_past(first, 0.0)
+        heapq.heappush(self._queue,
+                       (first, EventKind.ARRIVAL, next(self._event_ids), None))
         self._initialized = True
-
-    def schedule_event(self, event: Event) -> None:
-        """Insert an event; its time must not precede the current clock."""
-        if event.time < self._clock:
-            raise _time_in_past(event.time, self._clock)
-        heapq.heappush(self._queue, event)
 
     def run(self) -> SimulationReport:
         """Process events until the request goal is met and departures drain."""

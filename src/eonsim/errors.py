@@ -82,11 +82,11 @@ class AuditViolationError(AllocatorFaultError):
 # -- simulator lifecycle -------------------------------------------------------
 
 class NoAllocatorSetError(EonSimError):
-    """init() was called before an allocation callback was assigned."""
+    """init() was called on a simulator built with no allocation callback."""
 
 
 class AlreadyInitializedError(EonSimError):
-    """The simulator accepts no changes (or second init) after init()."""
+    """init() was called a second time."""
 
 
 class NotInitializedError(EonSimError):

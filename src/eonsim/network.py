@@ -44,12 +44,19 @@ class Node:
     id: int
 
 
-def grid_to_mask(grid: np.ndarray) -> int:
-    """Bitmask of a boolean grid: bit ``i`` is set when ``grid[i]`` is True."""
+def grid_to_mask(grid: np.ndarray) -> tuple[int, int]:
+    """Bitmask and slot count of a 1-D boolean grid (an array or a list).
+
+    Bit ``i`` of the mask is set when ``grid[i]`` is True.  A grid that is
+    not 1-D raises ``ValueError``.
+    """
     import numpy as np
 
-    packed = np.packbits(np.asarray(grid, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+    cells = np.asarray(grid, dtype=bool)
+    if cells.ndim != 1:
+        raise ValueError(f"a grid must be 1-D, got shape {cells.shape}")
+    packed = np.packbits(cells, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little"), cells.shape[0]
 
 
 def mask_to_grid(mask: int, slot_count: int) -> np.ndarray:

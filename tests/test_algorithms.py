@@ -163,6 +163,21 @@ class TestExactFreeBlock:
             exact_free_block(grid(8), 0)
 
 
+class TestAdapterGridShapes:
+    CELLS = [True, False, False, True, False, False, False, False]
+
+    @pytest.mark.parametrize("adapter", [first_free_block, exact_free_block])
+    def test_plain_list_gives_the_ndarray_answer(self, adapter, np):
+        assert adapter(self.CELLS, 2) == FreeBlock(1, 3)
+        assert adapter(self.CELLS, 2) == adapter(np.array(self.CELLS), 2)
+
+    @pytest.mark.parametrize("adapter", [first_free_block, exact_free_block])
+    def test_grid_must_be_one_dimensional(self, adapter, np):
+        with pytest.raises(ValueError,
+                           match=r"^a grid must be 1-D, got shape \(2, 4\)$"):
+            adapter(np.zeros((2, 4), dtype=bool), 2)
+
+
 class TestOracleEquivalence:
     @staticmethod
     def assert_kernels_match(cells, size):

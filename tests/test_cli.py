@@ -5,6 +5,7 @@ from eonsim.cli import main
 
 NETWORK = str(data.data_path("nsfnet_network.json"))
 ROUTES = str(data.data_path("nsfnet_routes_k3.json"))
+FULL = str(data.data_path("bit_rates.json"))
 BPSK = str(data.data_path("bit_rates_bpsk.json"))
 
 
@@ -38,6 +39,20 @@ def test_explicit_bitrates_and_max_routes(tmp_path):
     code, out = run_cli(tmp_path, "--bitrates", BPSK, "--max-routes", "1")
     assert code == 0
     assert out.exists()
+
+
+def test_no_bitrates_uses_the_bundled_full_catalog(tmp_path):
+    # At 150 Erlang the full and BPSK-only catalogs block differently.
+    heavy = ("--goal", "2000", "--lambda", "1500")
+    outputs = {}
+    for name, extra in (("default", ()),
+                        ("full", ("--bitrates", FULL)),
+                        ("bpsk", ("--bitrates", BPSK))):
+        code, out = run_cli(tmp_path, *heavy, *extra, out_name=f"{name}.dat")
+        assert code == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["default"] == outputs["full"]
+    assert outputs["default"] != outputs["bpsk"]
 
 
 def test_no_strict_audit_flag(tmp_path):

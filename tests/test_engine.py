@@ -60,6 +60,15 @@ class TestInit:
         assert sim.clock == 0.0
         assert sim.pending_events == 1
 
+    def test_first_arrival_is_queued_as_a_plain_tuple(self, pair_config):
+        sim = Simulator(pair_config(), first_fit)
+        sim.init()
+        [queued] = sim._queue
+        assert type(queued) is tuple
+        time, kind, event_id, connection_id = queued
+        assert time > 0.0
+        assert (kind, event_id, connection_id) == (EventKind.ARRIVAL, 0, None)
+
     def test_double_init_rejected(self, pair_config):
         sim = Simulator(pair_config(), first_fit)
         sim.init()
@@ -67,15 +76,11 @@ class TestInit:
             sim.init()
 
     def test_missing_allocator(self, pair_config):
-        sim = Simulator(pair_config())
+        with pytest.raises(TypeError):
+            Simulator(pair_config())
+        sim = Simulator(pair_config(), None)
         with pytest.raises(NoAllocatorSetError):
             sim.init()
-
-    def test_allocator_frozen_after_init(self, pair_config):
-        sim = Simulator(pair_config(), first_fit)
-        sim.init()
-        with pytest.raises(AlreadyInitializedError):
-            sim.use_allocator(always_blocked)
 
     def test_config_is_frozen(self, pair_config):
         config = pair_config()
@@ -273,16 +278,18 @@ class TestEventQueue:
         heapq.heappush(heap, Event(7.0, EventKind.ARRIVAL, 2))
         assert heapq.heappop(heap).event_id == 2
 
-    def test_schedule_in_past_rejected(self, pair_config):
+    def test_schedule_in_past_rejected(self, pair_config, monkeypatch):
+        # init() schedules the first arrival at the clock's zero plus a draw.
+        monkeypatch.setattr(eonsim.engine, "next_exponential",
+                            lambda stream, rate: -1.0)
         sim = Simulator(pair_config(), first_fit)
-        sim.init()
-        with pytest.raises(TimeInPastError):
-            sim.schedule_event(Event(-1.0, EventKind.ARRIVAL, 99))
+        with pytest.raises(TimeInPastError, match="is before the clock t=0.0"):
+            sim.init()
 
     def test_unknown_departure_aborts(self, pair_config):
         sim = Simulator(pair_config(goal=1), first_fit)
         sim.init()
-        sim.schedule_event(Event(0.0, EventKind.DEPARTURE, 99, connection_id=123))
+        heapq.heappush(sim._queue, (0.0, EventKind.DEPARTURE, 99, 123))
         with pytest.raises(UnknownConnectionError):
             sim.run()
 
@@ -410,30 +417,6 @@ class TestProgressOutput:
             assert float(fields["blocking"]) == pytest.approx(blocked_k / k)
 
 
-class TestFromFiles:
-    def test_three_file_construction(self):
-        from eonsim import data
-
-        network_file = data.data_path("nsfnet_network.json")
-        routes_file = data.data_path("nsfnet_routes_k3.json")
-        bitrates_file = data.data_path("bit_rates_bpsk.json")
-        sim = Simulator.from_files(
-            network_file, routes_file, bitrates_file,
-            profile=TrafficProfile(goal_connections=100))
-        sim.use_allocator(first_fit, name="FF")
-        sim.init()
-        report = sim.run()
-        assert report.processed == 100
-
-    def test_two_file_construction_uses_default_catalog(self):
-        from eonsim import data, serialize_bit_rates
-
-        sim = Simulator.from_files(data.data_path("nsfnet_network.json"),
-                                   data.data_path("nsfnet_routes_k3.json"))
-        assert (serialize_bit_rates(sim.config.catalog)
-                == serialize_bit_rates(data.load_bit_rates()))
-
-
 class TestLifecycleViews:
     def test_listener_sees_events_and_live_connections_see_records(
             self, nsfnet, nsfnet_routes, table_catalog):
@@ -465,9 +448,7 @@ class TestLifecycleViews:
                                    goal_connections=300))
         sim = Simulator(config, recording_first_fit, event_listener=listener)
         sim.init()
-        sim.schedule_event(Event(0.0, EventKind.ARRIVAL, 10_000))
         sim.run()
-        assert (EventKind.ARRIVAL, 10_000) in seen
         assert {kind for kind, _ in seen} == set(EventKind)
         assert live_seen > 0
         assert not sim.live_connections

@@ -187,10 +187,15 @@ class TestRoutes:
             for route in nsfnet_routes.routes_for(src, dst):
                 assert route.recomputed_length_km(nsfnet) == route.length_km
 
-    def test_route_chain_must_connect(self, chain_net):
+    @pytest.mark.parametrize("src, dst, link_ids, message", [
+        (1, 2, [0, 2], r"^route for \(1, 2\) starts at node 0, not 1$"),
+        (0, 2, [0, 3], r"^route for \(0, 2\) ends at node 1, not 2$"),
+    ], ids=["starts", "ends"])
+    def test_route_endpoints_must_match(self, chain_net, src, dst, link_ids,
+                                        message):
         routes = eonsim.RouteSet()
-        with pytest.raises(ValueError):
-            routes.add_route(chain_net, 0, 2, [0, 3])  # 0->1 then 2->1
+        with pytest.raises(ValueError, match=message):
+            routes.add_route(chain_net, src, dst, link_ids)
 
     def test_route_links_must_chain(self, chain_net):
         # starts at 0 and ends at 1, but link 0 (0->1) is not followed by
