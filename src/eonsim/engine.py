@@ -1,17 +1,15 @@
-"""Discrete-event core: event queue, arrival/departure lifecycle, run loop.
+"""Discrete-event core: pending arrival, departure heap, run loop.
 
-The queue pops events in (time, kind, event id) order with departures
-ordered before arrivals at equal times — spectrum is freed before a
-competing request is evaluated, so tie handling never inflates blocking.
 One arrival is pending at any moment; processing it schedules the next one
 until the configured number of requests has been dispatched, after which
-the remaining departures drain and every grid ends all-free.
-
-The queue holds plain ``(time, kind, event_id, connection_id)`` tuples,
-the field order of :class:`Event`; an event listener receives an
-:class:`Event` view built for it.  Live connections are kept as
-``(holdings, departure_time)`` pairs; :attr:`Simulator.live_connections`
-is a snapshot of :class:`ConnectionRecord` objects built on each read.
+the remaining departures drain and every grid ends all-free.  Departures
+wait in a heap of plain ``(time, event_id, connection_id, holdings)``
+tuples, one per live connection, so the heap is also the live-connection
+table.  The next event is the earliest departure (the lowest event id among
+equal times) unless the arrival is strictly earlier: spectrum is freed
+before a competing request is evaluated, so ties never inflate blocking.
+An event listener receives an :class:`Event` view built for it, and
+:attr:`Simulator.live_connections` is a snapshot built from the heap.
 
 Request plans (candidate routes, the bitrate entry and what the bundled
 search needs of them, see :func:`~eonsim.allocation.request_plan`) are
@@ -37,8 +35,8 @@ from .errors import (
     MissingRoutesError,
     NoAllocatorSetError,
     NotInitializedError,
+    RunAbortedError,
     TimeInPastError,
-    UnknownConnectionError,
 )
 from .network import Link, Network, RouteSet
 from .report import SimulationReport
@@ -54,16 +52,14 @@ from .traffic import (
 
 
 class EventKind(IntEnum):
-    DEPARTURE = 0  # lower value pops first on time ties
+    """What an event does; the tie rule, not this value, orders events."""
+
+    DEPARTURE = 0
     ARRIVAL = 1
 
 
 class Event(NamedTuple):
-    """An event as an ``event_listener`` sees it.
-
-    The queue itself holds plain tuples in this field order, which defines
-    the queue ordering.
-    """
+    """An event as an ``event_listener`` sees it; the engine queues none."""
 
     time: float
     kind: EventKind
@@ -103,12 +99,13 @@ class Simulator:
 
     The configuration and the allocator are fixed at construction; an
     allocator of ``None`` is rejected by :meth:`init`.  A simulator
-    instance performs exactly one run.
+    instance performs exactly one run; :meth:`run` called again returns its
+    report, or raises :class:`RunAbortedError` if it aborted.
 
-    Queued events are plain ``(time, kind, event_id, connection_id)``
-    tuples; ``event_listener`` is called after each event with an
-    :class:`Event` view of it.  :attr:`live_connections` is a snapshot
-    built on read, not a live view.
+    One pending arrival waits beside a heap of departures; the earliest
+    departure goes next unless the arrival is strictly earlier.
+    ``event_listener`` is called after each event with an :class:`Event`
+    view of it; :attr:`live_connections` is a snapshot built on read.
     """
 
     def __init__(self, config: SimulatorConfig,
@@ -125,15 +122,12 @@ class Simulator:
         self._progress_every = progress_every
         self._out = out
         self._event_listener = event_listener
-        self._initialized = False
-        self._finished = False
+        self._state = "new"  # -> "ready" (init) -> "running" -> "done"
         self._clock = 0.0
-        self._queue: list[tuple] = []
-        # connection id -> (holdings, departure time)
-        self._live: dict[int, tuple[tuple[tuple[int, int, int], ...], float]] = {}
+        self._arrival: tuple[float, int] | None = None  # (time, event id)
+        self._departures: list[tuple] = []  # heap, see the module docstring
         self._event_ids = itertools.count()
         self._connection_ids = itertools.count()
-        self._arrivals_dispatched = 0
         self._report: SimulationReport | None = None
         # (src, dst, bitrate index) -> (routes, search plan, bitrate entry),
         # filled on first use.
@@ -151,12 +145,15 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        """The queued departures plus the pending arrival, if any."""
+        return len(self._departures) + (self._arrival is not None)
 
     @property
     def live_connections(self) -> dict[int, ConnectionRecord]:
+        """One record per queued departure, in connection-id order."""
         return {connection_id: ConnectionRecord(connection_id, holdings, departs)
-                for connection_id, (holdings, departs) in self._live.items()}
+                for departs, _, connection_id, holdings
+                in sorted(self._departures, key=lambda departure: departure[2])}
 
     @property
     def report(self) -> SimulationReport | None:
@@ -166,7 +163,7 @@ class Simulator:
 
     def init(self) -> None:
         """Freeze the configuration, zero the clock, schedule the first arrival."""
-        if self._initialized:
+        if self._state != "new":
             raise AlreadyInitializedError("init() may only be called once")
         if self._allocator is None:
             raise NoAllocatorSetError("the simulator was built with no allocator")
@@ -191,16 +188,18 @@ class Simulator:
         first = next_exponential(self._streams.arrival, config.profile.arrival_rate)
         if first < 0.0:
             raise _time_in_past(first, 0.0)
-        heapq.heappush(self._queue,
-                       (first, EventKind.ARRIVAL, next(self._event_ids), None))
-        self._initialized = True
+        self._arrival = (first, next(self._event_ids))
+        self._state = "ready"
 
     def run(self) -> SimulationReport:
         """Process events until the request goal is met and departures drain."""
-        if not self._initialized:
+        if self._state == "new":
             raise NotInitializedError("call init() before run()")
-        if self._finished:
+        if self._state == "done":
             return self._report
+        if self._state == "running":
+            raise RunAbortedError("an earlier run() of this simulator aborted")
+        self._state = "running"
         config = self._config
         network = config.network
         links = network.links
@@ -226,22 +225,29 @@ class Simulator:
         record_outcome = report.record_outcome
         allocator = self._allocator
         plans = self._plans
-        live = self._live
-        queue = self._queue
+        departures = self._departures
+        pending = self._arrival
+        dispatched = 0
         event_ids = self._event_ids
         connection_ids = self._connection_ids
-        arrival = EventKind.ARRIVAL
-        departure = EventKind.DEPARTURE
         out = self._out
         progress_every = self._progress_every
         listener = self._event_listener
         if out is not None:
             print(report.header_line(), file=out)
         started = _time.perf_counter()
-        while queue:
-            clock, kind, event_id, connection_id = pop(queue)
-            self._clock = clock
-            if kind is arrival:
+        while pending is not None or departures:
+            if departures and (pending is None or departures[0][0] <= pending[0]):
+                clock, event_id, connection_id, holdings = pop(departures)
+                self._clock = clock
+                for link_id, start, stop in holdings:
+                    release(links[link_id], start, stop)
+                if listener is not None:
+                    listener(self, Event(clock, EventKind.DEPARTURE, event_id,
+                                         connection_id))
+            else:
+                clock, event_id = pending
+                self._clock = clock
                 src, dst = draw_src_dst(streams, node_count)
                 index = draw_bitrate(bitrate_stream, catalog)
                 planned = plans.get((src, dst, index))
@@ -270,10 +276,9 @@ class Simulator:
                     departs = clock + draw_exponential(departure_stream,
                                                        departure_rate)
                     held_by = next(connection_ids)
-                    live[held_by] = (holdings, departs)
                     if departs < clock:
                         raise _time_in_past(departs, clock)
-                    push(queue, (departs, departure, next(event_ids), held_by))
+                    push(departures, (departs, next(event_ids), held_by, holdings))
                 elif verdict is NOT_ALLOCATED:
                     ctx.discard_staged()
                 else:
@@ -281,28 +286,23 @@ class Simulator:
                         f"allocator {self._algorithm_name!r} returned {verdict!r} "
                         "instead of ALLOCATED or NOT_ALLOCATED")
                 record_outcome(verdict, entry.label)
-                self._arrivals_dispatched += 1
-                if self._arrivals_dispatched < goal:
+                dispatched += 1
+                if dispatched < goal:
                     arrives = clock + draw_exponential(arrival_stream, arrival_rate)
                     if arrives < clock:
                         raise _time_in_past(arrives, clock)
-                    push(queue, (arrives, arrival, next(event_ids), None))
+                    pending = self._arrival = (arrives, next(event_ids))
+                else:
+                    pending = self._arrival = None
                 if (out is not None and progress_every
                         and report.processed % progress_every == 0):
                     print(report.progress_line(), file=out)
-            else:
-                held = live.pop(connection_id, None)
-                if held is None:
-                    raise UnknownConnectionError(
-                        f"departure for unknown connection {connection_id}")
-                for link_id, start, stop in held[0]:
-                    release(links[link_id], start, stop)
-            if listener is not None:
-                listener(self, Event(clock, kind, event_id, connection_id))
+                if listener is not None:
+                    listener(self, Event(clock, EventKind.ARRIVAL, event_id))
         report.wall_clock_seconds = _time.perf_counter() - started
         if out is not None:
             print(report.summary_line(), file=out)
-        self._finished = True
+        self._state = "done"
         return report
 
 

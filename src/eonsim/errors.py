@@ -101,8 +101,8 @@ class TimeInPastError(EonSimError):
     """An event was scheduled before the current simulation clock."""
 
 
-class UnknownConnectionError(EonSimError):
-    """A departure referenced a connection that is not live (internal bug)."""
+class RunAbortedError(EonSimError):
+    """run() was called again after an earlier run() of the simulator raised."""
 
 
 class MissingRoutesError(EonSimError):

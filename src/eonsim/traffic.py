@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from random import Random
 from typing import NamedTuple, Sequence
 
@@ -65,10 +66,9 @@ class TrafficProfile:
     def __post_init__(self):
         _check_positive("arrival rate", self.arrival_rate)
         _check_positive("departure rate", self.departure_rate)
-        if self.goal_connections < 1:
-            raise ValueError(
-                f"goal connections must be >= 1, got {self.goal_connections}"
-            )
+        goal = self.goal_connections
+        if isinstance(goal, bool) or not isinstance(goal, Integral) or goal < 1:
+            raise ValueError(f"goal connections must be an integer >= 1, got {goal!r}")
 
     @property
     def erlang(self) -> float:

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import heapq
 import io
 import weakref
 
@@ -27,8 +26,8 @@ from eonsim.errors import (
     MissingRoutesError,
     NoAllocatorSetError,
     NotInitializedError,
+    RunAbortedError,
     TimeInPastError,
-    UnknownConnectionError,
 )
 
 
@@ -63,11 +62,11 @@ class TestInit:
     def test_first_arrival_is_queued_as_a_plain_tuple(self, pair_config):
         sim = Simulator(pair_config(), first_fit)
         sim.init()
-        [queued] = sim._queue
-        assert type(queued) is tuple
-        time, kind, event_id, connection_id = queued
+        assert sim._departures == []
+        assert type(sim._arrival) is tuple
+        time, event_id = sim._arrival
         assert time > 0.0
-        assert (kind, event_id, connection_id) == (EventKind.ARRIVAL, 0, None)
+        assert event_id == 0
 
     def test_double_init_rejected(self, pair_config):
         sim = Simulator(pair_config(), first_fit)
@@ -141,6 +140,25 @@ class TestRunBasics:
         sim = Simulator(pair_config(goal=3), always_blocked)
         sim.init()
         assert sim.run() is sim.run()
+
+    def test_run_after_an_aborted_run_raises(self, pair_config):
+        calls = []
+
+        def fails_on_fifth_call(ctx):
+            calls.append(None)
+            if len(calls) == 5:
+                raise RuntimeError("boom")
+            return first_fit(ctx)
+
+        sim = Simulator(pair_config(goal=10), fails_on_fifth_call)
+        sim.init()
+        with pytest.raises(AllocatorFaultError):
+            sim.run()
+        with pytest.raises(RunAbortedError, match=r"earlier run\(\) .* aborted"):
+            sim.run()
+        assert issubclass(RunAbortedError, eonsim.errors.EonSimError)
+        assert len(calls) == 5
+        assert sim.report.processed == 4
 
     def test_accepted_arrival_occupies_and_schedules_departure(
             self, chain_net, chain_routes, one_slot_catalog, np):
@@ -257,26 +275,47 @@ class TestAllocatorFaults:
 
 
 class TestEventQueue:
-    def test_events_pop_in_time_order(self):
-        events = [Event(5.0, EventKind.ARRIVAL, 0),
-                  Event(3.0, EventKind.ARRIVAL, 1),
-                  Event(4.0, EventKind.ARRIVAL, 2)]
-        heap = []
-        for event in events:
-            heapq.heappush(heap, event)
-        assert [heapq.heappop(heap).time for _ in range(3)] == [3.0, 4.0, 5.0]
+    @staticmethod
+    def events_of(config, allocator=first_fit):
+        events = []
+        sim = Simulator(config, allocator,
+                        event_listener=lambda sim, event: events.append(event))
+        sim.init()
+        report = sim.run()
+        return events, report
 
-    def test_departure_pops_before_arrival_on_tie(self):
-        heap = []
-        heapq.heappush(heap, Event(7.0, EventKind.ARRIVAL, 0))
-        heapq.heappush(heap, Event(7.0, EventKind.DEPARTURE, 1, connection_id=4))
-        assert heapq.heappop(heap).kind is EventKind.DEPARTURE
+    def test_events_pop_in_time_order(self, pair_config):
+        events, report = self.events_of(pair_config(goal=300, lam=30.0))
+        times = [event.time for event in events]
+        assert times == sorted(times)
+        kinds = [event.kind for event in events]
+        assert kinds.count(EventKind.ARRIVAL) == 300
+        assert kinds.count(EventKind.DEPARTURE) == report.accepted > 0
 
-    def test_full_tie_breaks_on_event_id(self):
-        heap = []
-        heapq.heappush(heap, Event(7.0, EventKind.ARRIVAL, 5))
-        heapq.heappush(heap, Event(7.0, EventKind.ARRIVAL, 2))
-        assert heapq.heappop(heap).event_id == 2
+    def test_departure_pops_before_arrival_on_tie(self, pair_config, monkeypatch):
+        # Arrivals at t = 1, 2, 3 and holding times of 1.0: each departure
+        # coincides with the next arrival.
+        monkeypatch.setattr(eonsim.engine, "next_exponential",
+                            lambda stream, rate: 1.0)
+        events, _ = self.events_of(pair_config(goal=3))
+        arrival, departure = EventKind.ARRIVAL, EventKind.DEPARTURE
+        assert [(event.time, event.kind) for event in events] == [
+            (1.0, arrival), (2.0, departure), (2.0, arrival),
+            (3.0, departure), (3.0, arrival), (4.0, departure)]
+
+    def test_full_tie_breaks_on_event_id(self, pair_config, monkeypatch):
+        # All eight arrivals at t = 0 and holding times of 1.0: the eight
+        # departures share t = 1.0 and must leave in acceptance order.
+        monkeypatch.setattr(eonsim.engine, "next_exponential",
+                            lambda stream, rate: 0.0 if rate == 3.0 else 1.0)
+        events, report = self.events_of(pair_config(goal=8, lam=3.0, mu=10.0))
+        assert report.accepted == 8
+        departures = [event for event in events
+                      if event.kind is EventKind.DEPARTURE]
+        assert {event.time for event in departures} == {1.0}
+        assert [event.connection_id for event in departures] == list(range(8))
+        event_ids = [event.event_id for event in departures]
+        assert event_ids == sorted(event_ids)
 
     def test_schedule_in_past_rejected(self, pair_config, monkeypatch):
         # init() schedules the first arrival at the clock's zero plus a draw.
@@ -285,13 +324,6 @@ class TestEventQueue:
         sim = Simulator(pair_config(), first_fit)
         with pytest.raises(TimeInPastError, match="is before the clock t=0.0"):
             sim.init()
-
-    def test_unknown_departure_aborts(self, pair_config):
-        sim = Simulator(pair_config(goal=1), first_fit)
-        sim.init()
-        heapq.heappush(sim._queue, (0.0, EventKind.DEPARTURE, 99, 123))
-        with pytest.raises(UnknownConnectionError):
-            sim.run()
 
     def test_tie_rule_frees_spectrum_before_competing_arrival(
             self, pair_net, pair_routes, one_slot_catalog, monkeypatch):
@@ -435,7 +467,9 @@ class TestLifecycleViews:
             assert isinstance(event, Event)
             assert isinstance(event.kind, EventKind)
             seen.add((event.kind, event.event_id))
-            for connection_id, record in sim.live_connections.items():
+            live = sim.live_connections
+            assert list(live) == sorted(live)
+            for connection_id, record in live.items():
                 assert isinstance(record, eonsim.ConnectionRecord)
                 assert record.connection_id == connection_id
                 assert record.holdings == committed[connection_id]

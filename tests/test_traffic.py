@@ -222,10 +222,15 @@ class TestTrafficProfile:
         {"goal_connections": 0},
         {"arrival_rate": 0.0},
         {"departure_rate": -1.0},
+        {"goal_connections": 2.5},
+        {"goal_connections": True},
     ])
     def test_invalid_profiles_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrafficProfile(**kwargs)
+
+    def test_integer_types_accepted_as_goal(self, np):
+        assert TrafficProfile(goal_connections=np.int64(7)).goal_connections == 7
 
     @pytest.mark.parametrize("field", ["arrival_rate", "departure_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
