@@ -10,11 +10,9 @@ of the largest joint free block of the first route that fits, and keeps a
 private statistic on the side.  It is deliberately simple, not good -- the
 point is the shape of the code.
 
-It reads the route's joint grid as a boolean ndarray through
-``intersection_grid``, so it needs numpy, which eonsim itself does not.
+It reads the route's joint grid through ``intersection_grid``: an ``int``
+bitmask in which bit i is set when slot i is occupied on any link.
 """
-
-import itertools
 
 import eonsim
 from eonsim import ALLOCATED, NOT_ALLOCATED, data
@@ -23,22 +21,25 @@ from eonsim.algorithms import FreeBlock, intersection_grid
 hop_histogram = {}  # private statistics live in plain module/closure state
 
 
-def widest_free_block(grid):
-    """Lowest of the longest runs of free (False) slots, or None if all are taken."""
+def widest_free_block(grid, slot_count):
+    """Lowest of the longest runs of free slots, or None if all are taken."""
     best = None
-    start = 0
-    for occupied, run in itertools.groupby(grid.tolist()):
-        length = sum(1 for _ in run)
-        if not occupied and (best is None or length > best.length):
+    free = ((1 << slot_count) - 1) & ~grid  # bit i set when slot i is free
+    while free:
+        start = (free & -free).bit_length() - 1  # lowest free slot
+        run = free >> start
+        length = (run & ~(run + 1)).bit_length()  # its trailing set bits
+        if best is None or length > best.length:
             best = FreeBlock(start, start + length)
-        start += length
+        free &= ~(((1 << length) - 1) << start)  # drop this run
     return best
 
 
 def widest_fit(ctx):
     need = ctx.request_slots(0)  # single-option catalog in this demo
     for route in range(ctx.route_count()):
-        best = widest_free_block(intersection_grid(ctx, route))
+        slot_count = ctx.link_in_route(route, 0).slot_count
+        best = widest_free_block(intersection_grid(ctx, route), slot_count)
         if best is None or best.length < need:
             continue
 

@@ -16,17 +16,15 @@ shift-AND over the width's shift schedule, which the plan carries
 precomputed; a low-to-high search takes the lowest window start, a
 high-to-low search the highest, and exact fit first looks for the lowest
 window that is a whole free run.
-The public kernels :func:`intersection_grid`, :func:`first_free_block` and
-:func:`exact_free_block` are ndarray adapters over the same mask kernels,
-kept for user algorithms; the bundled algorithms do not call them.  They
-need numpy, which eonsim does not install (see :mod:`eonsim.network`).
+The public calls :func:`intersection_grid`, :func:`first_free_block` and
+:func:`exact_free_block` work on the same ``int`` grids through the same
+mask kernels, for user algorithms; the bundled algorithms do not call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .allocation import (
     ALLOCATED,
@@ -37,10 +35,6 @@ from .allocation import (
     _shift_schedule,
 )
 from .errors import HeterogeneousSlotCountsError
-from .network import grid_to_mask, mask_to_grid
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class SearchDirection(Enum):
@@ -98,36 +92,38 @@ def _route_occupied(route: int, plan: RoutePlan, links) -> int:
     return occupied
 
 
-# -- ndarray adapters ------------------------------------------------------------
+# -- public grid calls -----------------------------------------------------------
 
-def intersection_grid(ctx: AllocationContext, route: int) -> np.ndarray:
-    """Joint occupancy over the route: slot i is True if occupied on any link.
+def intersection_grid(ctx: AllocationContext, route: int) -> int:
+    """Joint occupancy over the route: the OR of its link masks.
 
-    Always a fresh array, detached from the live grids.
+    Bit i is set when slot i is occupied on any link of the route.
     """
     ctx.route_link_ids(route)  # rejects an out-of-range route index
-    plan = ctx._search_plan()[route]
-    occupied = _route_occupied(route, plan, ctx._network.links)
-    return mask_to_grid(occupied, plan.all_slots.bit_length())
+    return _route_occupied(route, ctx._search_plan()[route], ctx._network.links)
 
 
-def _free_mask(grid: np.ndarray) -> int:
-    occupied, slot_count = grid_to_mask(grid)
-    return ((1 << slot_count) - 1) ^ occupied
+def _free_mask(grid: int, slot_count: int) -> int:
+    # An array would broadcast through the shifts below and answer wrongly.
+    if not isinstance(grid, int):
+        raise TypeError(
+            f"a grid must be an int bitmask, got {type(grid).__name__}")
+    return ((1 << slot_count) - 1) & ~grid
 
 
-def first_free_block(grid: np.ndarray, size: int,
+def first_free_block(grid: int, slot_count: int, size: int,
                      direction: SearchDirection = SearchDirection.LOW_TO_HIGH,
                      ) -> FreeBlock | None:
     """Placement of ``size`` consecutive free slots, or None.
 
+    ``grid`` is an ``int`` occupancy mask of ``slot_count`` slots.
     LOW_TO_HIGH returns the block with the minimal feasible start index,
     HIGH_TO_LOW the maximal one.  The returned block has length exactly
     ``size`` (a placement, not a maximal run).
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    starts = _window_starts(_free_mask(grid), _shift_schedule(size))
+    starts = _window_starts(_free_mask(grid, slot_count), _shift_schedule(size))
     if not starts:
         return None
     if direction is SearchDirection.LOW_TO_HIGH:
@@ -137,15 +133,16 @@ def first_free_block(grid: np.ndarray, size: int,
     return FreeBlock(start, start + size)
 
 
-def exact_free_block(grid: np.ndarray, size: int) -> FreeBlock | None:
+def exact_free_block(grid: int, slot_count: int, size: int) -> FreeBlock | None:
     """Lowest maximal free run whose length is exactly ``size``, or None.
 
+    ``grid`` is an ``int`` occupancy mask of ``slot_count`` slots.
     "Maximal" means the run cannot be extended: its neighbours (where they
     exist) are occupied.
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    free = _free_mask(grid)
+    free = _free_mask(grid, slot_count)
     starts = _exact_starts(free, size, _window_starts(free, _shift_schedule(size)))
     if not starts:
         return None

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     AlreadyOccupiedError,
@@ -56,9 +56,6 @@ from .errors import (
 )
 from .network import Link, Network, Route
 from .traffic import BitRateEntry
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class Verdict(Enum):
@@ -107,10 +104,11 @@ class LinkView:
         return self._link.slot_count
 
     @property
-    def occupancy(self) -> np.ndarray:
-        """Read-only snapshot of the grid; True marks an occupied slot.
+    def occupancy(self) -> int:
+        """The link's grid as an ``int`` bitmask, as :attr:`Link.occupancy`.
 
-        A fresh array on every read: it does not follow later changes.
+        Bit ``i`` is set when slot ``i`` is occupied.  An ``int`` is
+        immutable, so the value does not follow later changes.
         """
         return self._link.occupancy
 

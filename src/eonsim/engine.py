@@ -184,6 +184,7 @@ class Simulator:
             goal_connections=config.profile.goal_connections,
             seeds=config.seeds,
             strict_audit=config.strict_audit,
+            per_bitrate={entry.label: [0, 0] for entry in config.catalog},
         )
         first = next_exponential(self._streams.arrival, config.profile.arrival_rate)
         if first < 0.0:

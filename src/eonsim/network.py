@@ -7,24 +7,15 @@ route is the OR of its links' masks.  All slot ranges in this package are
 half-open ``[start, stop)`` with 0-based indices.  The grid is only ever
 mutated through :meth:`Link.occupy_slots` / :meth:`Link.release_slots`,
 both of which validate first and leave the grid untouched when they fail.
-:attr:`Link.occupancy` hands out the grid as a boolean ndarray snapshot;
-:func:`grid_to_mask` and :func:`mask_to_grid` convert between the two forms.
-
-numpy is optional: eonsim installs without it, and importing, parsing,
-every simulation and the CLI run on the standard library alone.
-:func:`grid_to_mask` and :func:`mask_to_grid` are the package's only numpy
-users and import it on their first call.  Five public calls reach numpy
-through them: ``Link.occupancy``, ``LinkView.occupancy``,
-``algorithms.intersection_grid``, ``algorithms.first_free_block`` and
-``algorithms.exact_free_block``.  Without numpy installed they raise an
-``ImportError`` that names numpy.
+:attr:`Link.occupancy` hands out that same ``int``, the package's one grid
+type; slot ``i`` is occupied when ``occupancy >> i & 1``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlreadyOccupiedError,
@@ -33,39 +24,12 @@ from .errors import (
     OutOfBoundsError,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 @dataclass(frozen=True)
 class Node:
     """A network node, identified by a dense 0-based integer id."""
 
     id: int
-
-
-def grid_to_mask(grid: np.ndarray) -> tuple[int, int]:
-    """Bitmask and slot count of a 1-D boolean grid (an array or a list).
-
-    Bit ``i`` of the mask is set when ``grid[i]`` is True.  A grid that is
-    not 1-D raises ``ValueError``.
-    """
-    import numpy as np
-
-    cells = np.asarray(grid, dtype=bool)
-    if cells.ndim != 1:
-        raise ValueError(f"a grid must be 1-D, got shape {cells.shape}")
-    packed = np.packbits(cells, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little"), cells.shape[0]
-
-
-def mask_to_grid(mask: int, slot_count: int) -> np.ndarray:
-    """Fresh boolean grid of ``slot_count`` slots from a bitmask."""
-    import numpy as np
-
-    raw = np.frombuffer(mask.to_bytes((slot_count + 7) // 8, "little"),
-                        dtype=np.uint8)
-    return np.unpackbits(raw, count=slot_count, bitorder="little").astype(bool)
 
 
 class Link:
@@ -97,14 +61,13 @@ class Link:
         return self._slot_count
 
     @property
-    def occupancy(self) -> np.ndarray:
-        """Read-only snapshot of the grid; True marks an occupied slot.
+    def occupancy(self) -> int:
+        """The grid as a bitmask; bit ``i`` is set when slot ``i`` is occupied.
 
-        A fresh array on every read: it does not follow later changes.
+        An ``int`` is immutable, so this is a snapshot: it does not follow
+        later changes.
         """
-        grid = mask_to_grid(self._mask, self._slot_count)
-        grid.flags.writeable = False
-        return grid
+        return self._mask
 
     @property
     def occupied_count(self) -> int:

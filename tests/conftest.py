@@ -4,14 +4,9 @@ import eonsim
 from eonsim import data
 
 
-@pytest.fixture
-def np():
-    """numpy, for tests that build or read an ndarray; they skip without it.
-
-    eonsim does not depend on numpy: only the ndarray adapters and
-    ``occupancy`` need it, so every other test runs without it.
-    """
-    return pytest.importorskip("numpy")
+def mask_of(cells):
+    """The ``int`` grid of a sequence of booleans: bit i set when cells[i]."""
+    return sum(1 << i for i, taken in enumerate(cells) if taken)
 
 
 @pytest.fixture

@@ -24,6 +24,8 @@ from eonsim import (
 )
 from eonsim.errors import AuditViolationError
 
+from conftest import mask_of
+
 GOAL_GRID = 100_000
 LAMBDAS = (18, 90, 180)
 ALGS = ("FF", "EF", "FLF")
@@ -122,7 +124,7 @@ def test_criterion_1_erlang_b_cross_check(loss_system_run):
     verdict(1, "Erlang-B analytic cross-check", check)
 
 
-def test_criterion_2_slot_search_oracle_equivalence(np):
+def test_criterion_2_slot_search_oracle_equivalence():
     def brute_first(cells, size, high_to_low):
         starts = [i for i in range(len(cells) - size + 1)
                   if not any(cells[i:i + size])]
@@ -151,13 +153,13 @@ def test_criterion_2_slot_search_oracle_equivalence(np):
             cells = [rng.random() < rng.choice((0.15, 0.5, 0.85))
                      for _ in range(n)]
             size = rng.randint(1, n)
-            occupancy = np.array(cells, dtype=bool)
+            occupancy = mask_of(cells)
             for direction, high in ((SearchDirection.LOW_TO_HIGH, False),
                                     (SearchDirection.HIGH_TO_LOW, True)):
-                block = first_free_block(occupancy, size, direction)
+                block = first_free_block(occupancy, n, size, direction)
                 if (block.start if block else None) != brute_first(cells, size, high):
                     mismatches += 1
-            block = exact_free_block(occupancy, size)
+            block = exact_free_block(occupancy, n, size)
             if (block.start if block else None) != brute_exact(cells, size):
                 mismatches += 1
         assert mismatches == 0

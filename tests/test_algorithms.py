@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -20,16 +21,14 @@ from eonsim import (
 )
 from eonsim.errors import HeterogeneousSlotCountsError
 
+from conftest import mask_of
+
 LOW = SearchDirection.LOW_TO_HIGH
 HIGH = SearchDirection.HIGH_TO_LOW
 
 
 def grid(size, occupied=()):
-    np = pytest.importorskip("numpy")
-    out = np.zeros(size, dtype=bool)
-    for slot in occupied:
-        out[slot] = True
-    return out
+    return mask_of([slot in occupied for slot in range(size)])
 
 
 def make_ctx(network, routes, src, dst, entry, strict_audit=True):
@@ -92,25 +91,25 @@ GRID_SIZES = [1, 63, 64, 65, 127, 128, 129, 320]
 
 class TestIntersectionGrid:
     def test_single_link_route_equals_its_grid(self, chain_net, chain_routes,
-                                               one_slot_catalog, np):
+                                               one_slot_catalog):
         chain_net.links[0].occupy_slots(1, 3)
         ctx = make_ctx(chain_net, chain_routes, 0, 1, one_slot_catalog[0])
         joint = intersection_grid(ctx, 0)
-        assert np.array_equal(joint, chain_net.links[0].occupancy)
-        joint[0] = True  # a detached copy, never the live grid
-        assert not chain_net.links[0].occupancy[0]
+        assert joint == chain_net.links[0].occupancy == grid(8, {1, 2})
+        joint |= 1  # a detached value, never the live grid
+        assert not chain_net.links[0].occupancy & 1
 
     def test_union_of_occupied_sets(self, chain_net, chain_routes,
-                                    one_slot_catalog, np):
+                                    one_slot_catalog):
         chain_net.links[0].occupy_slots(0, 2)
         chain_net.links[2].occupy_slots(3, 4)
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0])
-        assert set(np.flatnonzero(intersection_grid(ctx, 0))) == {0, 1, 3}
+        assert intersection_grid(ctx, 0) == grid(8, {0, 1, 3})
 
     def test_all_free_links_give_all_free_grid(self, chain_net, chain_routes,
-                                               one_slot_catalog, np):
+                                               one_slot_catalog):
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0])
-        assert not intersection_grid(ctx, 0).any()
+        assert intersection_grid(ctx, 0) == 0
 
     def test_heterogeneous_slot_counts(self, one_slot_catalog):
         net = eonsim.Network.build("mixed", 3,
@@ -124,70 +123,64 @@ class TestIntersectionGrid:
 
 class TestFirstFreeBlock:
     def test_low_to_high_takes_first_gap(self):
-        assert first_free_block(grid(8, {0, 1, 4}), 2, LOW) == FreeBlock(2, 4)
+        assert first_free_block(grid(8, {0, 1, 4}), 8, 2, LOW) == FreeBlock(2, 4)
 
     def test_high_to_low_takes_last_gap(self):
-        assert first_free_block(grid(8, {0, 1, 4}), 2, HIGH) == FreeBlock(6, 8)
+        assert first_free_block(grid(8, {0, 1, 4}), 8, 2, HIGH) == FreeBlock(6, 8)
 
     def test_insufficient_space(self):
-        assert first_free_block(grid(8, {2}), 8) is None
+        assert first_free_block(grid(8, {2}), 8, 8) is None
 
     def test_block_larger_than_grid(self):
-        assert first_free_block(grid(8), 9) is None
+        assert first_free_block(grid(8), 8, 9) is None
 
     def test_all_free_extremes(self):
-        assert first_free_block(grid(320), 4, LOW) == FreeBlock(0, 4)
-        assert first_free_block(grid(320), 32, HIGH) == FreeBlock(288, 320)
+        assert first_free_block(grid(320), 320, 4, LOW) == FreeBlock(0, 4)
+        assert first_free_block(grid(320), 320, 32, HIGH) == FreeBlock(288, 320)
 
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            first_free_block(grid(8), 0)
+            first_free_block(grid(8), 8, 0)
 
 
 class TestExactFreeBlock:
     def test_picks_exactly_matching_run(self):
         # maximal free runs [0, 3) and [5, 7)
         cells = grid(8, {3, 4, 7})
-        assert exact_free_block(cells, 2) == FreeBlock(5, 7)
-        assert exact_free_block(cells, 3) == FreeBlock(0, 3)
+        assert exact_free_block(cells, 8, 2) == FreeBlock(5, 7)
+        assert exact_free_block(cells, 8, 3) == FreeBlock(0, 3)
 
     def test_all_free_grid_has_only_one_maximal_run(self):
-        assert exact_free_block(grid(8), 3) is None
-        assert exact_free_block(grid(8), 8) == FreeBlock(0, 8)
+        assert exact_free_block(grid(8), 8, 3) is None
+        assert exact_free_block(grid(8), 8, 8) == FreeBlock(0, 8)
 
     def test_no_match(self):
-        assert exact_free_block(grid(8, {0, 1, 2, 3, 4, 5, 6, 7}), 1) is None
+        assert exact_free_block(grid(8, {0, 1, 2, 3, 4, 5, 6, 7}), 8, 1) is None
 
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError, match=r"^block size must be >= 1, got 0$"):
-            exact_free_block(grid(8), 0)
+            exact_free_block(grid(8), 8, 0)
 
 
-class TestAdapterGridShapes:
-    CELLS = [True, False, False, True, False, False, False, False]
-
-    @pytest.mark.parametrize("adapter", [first_free_block, exact_free_block])
-    def test_plain_list_gives_the_ndarray_answer(self, adapter, np):
-        assert adapter(self.CELLS, 2) == FreeBlock(1, 3)
-        assert adapter(self.CELLS, 2) == adapter(np.array(self.CELLS), 2)
-
-    @pytest.mark.parametrize("adapter", [first_free_block, exact_free_block])
-    def test_grid_must_be_one_dimensional(self, adapter, np):
-        with pytest.raises(ValueError,
-                           match=r"^a grid must be 1-D, got shape \(2, 4\)$"):
-            adapter(np.zeros((2, 4), dtype=bool), 2)
+class TestGridType:
+    @pytest.mark.parametrize("kernel", [first_free_block, exact_free_block])
+    def test_list_grid_raises_type_error(self, kernel):
+        cells = [True, False, False, True, False, False, False, False]
+        with pytest.raises(TypeError,
+                           match=r"^a grid must be an int bitmask, got list$"):
+            kernel(cells, 8, 2)
 
 
 class TestOracleEquivalence:
     @staticmethod
     def assert_kernels_match(cells, size):
-        np = pytest.importorskip("numpy")
-        occ = np.array(cells, dtype=bool)
+        occ = mask_of(cells)
+        n = len(cells)
         for high in (False, True):
-            got = first_free_block(occ, size, HIGH if high else LOW)
+            got = first_free_block(occ, n, size, HIGH if high else LOW)
             expected = brute_first(cells, size, high)
             assert (got.start if got else None) == expected, (cells, size, high)
-        got_exact = exact_free_block(occ, size)
+        got_exact = exact_free_block(occ, n, size)
         assert ((got_exact.start if got_exact else None)
                 == brute_exact(cells, size)), (cells, size)
 
@@ -216,15 +209,15 @@ class TestOracleEquivalence:
 
 
     @pytest.mark.parametrize("n", GRID_SIZES)
-    def test_every_width_matches_a_scan(self, n, np):
+    def test_every_width_matches_a_scan(self, n):
         rng = random.Random(1000 + n)
         for cells in boundary_grids(n, rng, random_count=8):
-            occ = np.array(cells, dtype=bool)
+            occ = mask_of(cells)
             for size in range(1, n + 1):
                 starts = scan_starts(cells, size)
-                low = first_free_block(occ, size, LOW)
-                high = first_free_block(occ, size, HIGH)
-                exact = exact_free_block(occ, size)
+                low = first_free_block(occ, n, size, LOW)
+                high = first_free_block(occ, n, size, HIGH)
+                exact = exact_free_block(occ, n, size)
                 assert (low.start if low else None) == (
                     starts[0] if starts else None), (cells, size)
                 assert (high.start if high else None) == (
@@ -311,11 +304,11 @@ class TestSearchAgainstBruteForce:
 
     @staticmethod
     def brute_search(ctx, pick):
-        np = pytest.importorskip("numpy")
         for route in range(ctx.route_count()):
             links = [ctx.link_in_route(route, i)
                      for i in range(ctx.link_count_in_route(route))]
-            cells = list(np.logical_or.reduce([view.occupancy for view in links]))
+            cells = [any(view.occupancy >> slot & 1 for view in links)
+                     for slot in range(links[0].slot_count)]
             for option in range(ctx.option_count()):
                 if ctx.request_reach_km(option) < ctx.route_length_km(route):
                     continue
@@ -416,6 +409,51 @@ class TestSearchAgainstBruteForce:
                         assert ctx.staged == ((0, start, start + size),
                                               (1, start, start + size)), (
                             cells, size, algorithm)
+
+
+class TestFirstFitOnPublicCalls:
+    """A user's First Fit written on public calls only, against the bundled one."""
+
+    @staticmethod
+    def public_first_fit(ctx):
+        for route in range(ctx.route_count()):
+            occupied = intersection_grid(ctx, route)
+            slot_count = ctx.link_in_route(route, 0).slot_count
+            for option in modulation_options(ctx, route):
+                block = first_free_block(occupied, slot_count,
+                                         ctx.request_slots(option))
+                if block is not None:
+                    for link_id in ctx.route_link_ids(route):
+                        ctx.alloc_slots(link_id, block.start, block.stop)
+                    return ALLOCATED
+        return NOT_ALLOCATED
+
+    @staticmethod
+    def run(allocator, network, routes, catalog):
+        digest = hashlib.sha256()
+
+        def recording(ctx):
+            verdict = allocator(ctx)
+            if verdict is ALLOCATED:
+                digest.update(repr(ctx.staged).encode())
+                digest.update(b";")
+            return verdict
+
+        config = eonsim.SimulatorConfig(
+            network=network.fresh_copy(), routes=routes, catalog=catalog,
+            profile=eonsim.TrafficProfile(arrival_rate=1500.0, departure_rate=10.0,
+                                          goal_connections=2000))
+        sim = eonsim.Simulator(config, recording, algorithm_name="FF")
+        sim.init()
+        report = sim.run()
+        return (report.processed, report.accepted, report.blocked,
+                digest.hexdigest())
+
+    def test_matches_bundled_first_fit(self, nsfnet, nsfnet_routes, table_catalog):
+        mine = self.run(self.public_first_fit, nsfnet, nsfnet_routes, table_catalog)
+        bundled = self.run(first_fit, nsfnet, nsfnet_routes, table_catalog)
+        assert mine == bundled
+        assert mine[2] > 0  # 150 Erlang blocks, so every route is searched
 
 
 class TestExactFit:

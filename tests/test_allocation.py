@@ -13,6 +13,8 @@ from eonsim.errors import (
     StagedOverlapError,
 )
 
+from conftest import mask_of
+
 
 def make_ctx(network, routes, src, dst, entry, strict_audit=True):
     return AllocationContext(network, src, dst, routes.routes_for(src, dst),
@@ -62,11 +64,14 @@ class TestRouteReads:
         with pytest.raises(LinkIndexOutOfRangeError):
             chain_ctx.link_in_route(0, chain_ctx.link_count_in_route(0))
 
-    def test_view_exposes_no_grid_mutation(self, chain_ctx, np):
+    def test_view_exposes_no_grid_mutation(self, chain_ctx, chain_net):
+        chain_net.links[0].occupy_slots(1, 2)
         view = chain_ctx.link_in_route(0, 0)
         assert not hasattr(view, "occupy_slots")
-        with pytest.raises(ValueError):
-            view.occupancy[0] = True
+        grid = view.occupancy
+        assert type(grid) is int and grid == mask_of([False, True])
+        grid |= 1  # changes the local value only
+        assert view.occupancy == chain_net.links[0].occupancy == mask_of([False, True])
 
     @pytest.mark.parametrize("slot", [-1, 8])
     def test_view_slot_out_of_range(self, chain_ctx, slot):
@@ -156,14 +161,14 @@ class TestStaging:
         chain_ctx.discard_staged()
         assert chain_ctx.staged == ()
 
-    def test_stage_discard_stage_commits_only_second(self, chain_net, chain_ctx, np):
+    def test_stage_discard_stage_commits_only_second(self, chain_net, chain_ctx):
         chain_ctx.alloc_slots(0, 0, 2)
         chain_ctx.discard_staged()
         chain_ctx.alloc_slots(0, 4, 6)
         chain_ctx.alloc_slots(2, 4, 6)
         chain_ctx.commit_staged()
-        assert set(np.flatnonzero(chain_net.links[0].occupancy)) == {4, 5}
-        assert set(np.flatnonzero(chain_net.links[2].occupancy)) == {4, 5}
+        assert chain_net.links[0].occupancy == mask_of([i in {4, 5} for i in range(8)])
+        assert chain_net.links[2].occupancy == mask_of([i in {4, 5} for i in range(8)])
 
 
 class TestCommit:
@@ -198,23 +203,24 @@ class TestCommit:
         assert chain_net.links[0].occupied_count == 4
 
     def test_non_strict_mode_skips_audit(self, chain_net, chain_routes,
-                                         one_slot_catalog, np):
+                                         one_slot_catalog):
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0],
                        strict_audit=False)
         ctx.alloc_slots(0, 0, 2)
         ctx.alloc_slots(0, 4, 6)
         ctx.commit_staged()
-        assert set(np.flatnonzero(chain_net.links[0].occupancy)) == {0, 1, 4, 5}
+        assert chain_net.links[0].occupancy == mask_of(
+            [i in {0, 1, 4, 5} for i in range(8)])
 
-    def test_commit_conflict_with_live_connection(self, chain_net, chain_ctx, np):
+    def test_commit_conflict_with_live_connection(self, chain_net, chain_ctx):
         chain_net.links[2].occupy_slots(0, 4)
-        before = [link.occupancy.copy() for link in chain_net.links]
+        before = [link.occupancy for link in chain_net.links]
         chain_ctx.alloc_slots(0, 0, 4)
         chain_ctx.alloc_slots(2, 0, 4)
         with pytest.raises(CommitConflictError):
             chain_ctx.commit_staged()
         for link, snapshot in zip(chain_net.links, before):
-            assert np.array_equal(link.occupancy, snapshot)
+            assert link.occupancy == snapshot
 
     def test_conflict_rolls_back_earlier_ranges(self, chain_net, chain_ctx):
         # link 0 commits first, link 2 then conflicts; link 0 must be restored

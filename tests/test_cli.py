@@ -82,6 +82,21 @@ def test_per_bitrate_flag(tmp_path, capsys):
     assert "bitrate=" in capsys.readouterr().out
 
 
+def test_per_bitrate_lines_cover_the_catalog_in_its_order(tmp_path, capsys):
+    # Three requests draw 100, 40 and 1000 Gbps; 10 and 400 are never drawn.
+    code, _ = run_cli(tmp_path, "--goal", "3", "--lambda", "18", "--per-bitrate")
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("bitrate=")]
+    assert lines == [
+        "bitrate=10 requests=0 blocked=0 blocking=0.000000e+00",
+        "bitrate=40 requests=1 blocked=0 blocking=0.000000e+00",
+        "bitrate=100 requests=1 blocked=0 blocking=0.000000e+00",
+        "bitrate=400 requests=0 blocked=0 blocking=0.000000e+00",
+        "bitrate=1000 requests=1 blocked=0 blocking=0.000000e+00",
+    ]
+
+
 def test_per_bitrate_lines_do_not_depend_on_workers(tmp_path, capsys):
     outputs = {}
     for workers in ("1", "2"):

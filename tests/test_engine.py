@@ -30,6 +30,8 @@ from eonsim.errors import (
     TimeInPastError,
 )
 
+from conftest import mask_of
+
 
 def always_blocked(ctx):
     return NOT_ALLOCATED
@@ -161,12 +163,12 @@ class TestRunBasics:
         assert sim.report.processed == 4
 
     def test_accepted_arrival_occupies_and_schedules_departure(
-            self, chain_net, chain_routes, one_slot_catalog, np):
+            self, chain_net, chain_routes, one_slot_catalog):
         after_arrival = []
 
         def listener(sim, event):
             if event.kind is EventKind.ARRIVAL:
-                occupied = {link.id: set(np.flatnonzero(link.occupancy))
+                occupied = {link.id: link.occupancy
                             for link in sim.config.network.links
                             if link.occupied_count}
                 after_arrival.append((sim.pending_events, occupied))
@@ -185,7 +187,7 @@ class TestRunBasics:
         pending, occupied = after_arrival[0]
         assert pending == 1  # exactly the departure of the new connection
         assert occupied  # route links carry the staged range
-        assert all(slots == {0, 1, 2, 3} for slots in occupied.values())
+        assert all(grid == mask_of([True] * 4) for grid in occupied.values())
         assert chain_net.all_grids_free()
 
     def test_conservation_and_drain_on_real_run(self, nsfnet, nsfnet_routes,
@@ -360,19 +362,19 @@ class TestEventQueue:
 
 class TestInvariantsUnderListener:
     def test_clock_monotone_and_no_double_booking(self, nsfnet, nsfnet_routes,
-                                                  bpsk_catalog, np):
+                                                  bpsk_catalog):
         times = []
 
         def audit(sim, event):
             times.append(event.time)
-            expected = {link.id: np.zeros(link.slot_count, dtype=bool)
+            expected = {link.id: [False] * link.slot_count
                         for link in sim.config.network.links}
             for record in sim.live_connections.values():
                 for link_id, start, stop in record.holdings:
-                    assert not expected[link_id][start:stop].any(), "double booking"
-                    expected[link_id][start:stop] = True
+                    assert not any(expected[link_id][start:stop]), "double booking"
+                    expected[link_id][start:stop] = [True] * (stop - start)
             for link in sim.config.network.links:
-                assert np.array_equal(link.occupancy, expected[link.id])
+                assert link.occupancy == mask_of(expected[link.id])
 
         config = SimulatorConfig(
             network=nsfnet, routes=nsfnet_routes, catalog=bpsk_catalog,
@@ -506,9 +508,9 @@ class TestLifecycleViews:
 class TestCommitWithoutRollback:
     def test_conflict_on_last_range_touches_no_grid(self, chain_net,
                                                     chain_routes,
-                                                    one_slot_catalog, np):
+                                                    one_slot_catalog):
         chain_net.links[3].occupy_slots(3, 4)  # a live connection
-        before = [link.occupancy.copy() for link in chain_net.links]
+        before = [link.occupancy for link in chain_net.links]
         ctx = eonsim.AllocationContext(
             chain_net, 0, 2, chain_routes.routes_for(0, 2),
             one_slot_catalog[0], strict_audit=False)
@@ -522,7 +524,7 @@ class TestCommitWithoutRollback:
             "link 3: range [0, 4) is not entirely free")
         assert isinstance(excinfo.value.__cause__, AlreadyOccupiedError)
         for link, snapshot in zip(chain_net.links, before):
-            assert np.array_equal(link.occupancy, snapshot)
+            assert link.occupancy == snapshot
         assert ctx.staged == ((0, 0, 2), (2, 2, 5), (3, 0, 4))
 
 

@@ -1,18 +1,17 @@
-"""Start-up cost and the optional numpy: each check runs in a fresh interpreter.
+"""Start-up cost and the standard library only: each check runs in a fresh
+interpreter.
 
-numpy is optional: eonsim does not install it, and importing, parsing,
-every simulation and the CLI need only the standard library.  Five calls
-need numpy, and import it on their first call: ``Link.occupancy``,
-``LinkView.occupancy``, ``intersection_grid``, ``first_free_block`` and
-``exact_free_block``.  Without numpy they raise an ``ImportError`` that
-names it.  The process pool is needed only by ``sweep_reports(workers > 1)``
-and is likewise imported on first use.
+eonsim never loads numpy: importing, parsing, every simulation, the CLI and
+the five grid calls (``Link.occupancy``, ``LinkView.occupancy``,
+``intersection_grid``, ``first_free_block`` and ``exact_free_block``, all on
+``int`` bitmasks) need only the standard library.  The process pool is
+needed only by ``sweep_reports(workers > 1)`` and is imported on first use.
 
 Each check runs in a new interpreter, because this test process has long
-since imported both.  The hidden-numpy guard sets ``sys.modules["numpy"]``
-to None before anything else, which makes every ``import numpy`` fail as
-if numpy were not installed, and compares its runs with the same runs in
-an interpreter where numpy is available.
+since imported eonsim and whatever pytest loads.  The hidden-numpy guard sets
+``sys.modules["numpy"]`` to None before anything else, which makes every
+``import numpy`` fail as if numpy were not installed, and compares its runs
+with the same runs in an interpreter where numpy is not hidden.
 """
 
 import json
@@ -33,7 +32,7 @@ PRELUDE = f"""
 import json, sys
 HEAVY = {HEAVY!r}
 def loaded():
-    return [name for name in HEAVY if name in sys.modules]
+    return [name for name in HEAVY if sys.modules.get(name) is not None]
 """
 
 HIDE_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'
@@ -99,35 +98,50 @@ def test_serial_cli_run_loads_no_heavy_module(tmp_path):
     assert result["loaded"] == []
 
 
-def test_adapters_import_numpy_on_first_call(np):
-    result = run_fresh("""
-        import eonsim
-        after_import = loaded()
+#: The five grid calls on an 8-slot pair network whose link 0 holds slots
+#: 2..4; sets ``grids`` to what each returns, a block as ``[start, stop]``.
+GRID_CALLS = """
+    from eonsim import algorithms
+    pair = eonsim.Network.build("pair", 2, [(0, 1, 1.0, 8), (1, 0, 1.0, 8)])
+    pair_routes = eonsim.RouteSet()
+    pair_routes.add_node_path(pair, [0, 1])
+    pair.links[0].occupy_slots(2, 5)
+    option = eonsim.ModulationOption("BPSK", 1, 1e9)
+    pair_ctx = eonsim.AllocationContext(
+        pair, 0, 1, pair_routes.routes_for(0, 1),
+        eonsim.BitRateEntry(10.0, "10", (option,)))
+    joint = algorithms.intersection_grid(pair_ctx, 0)
+    calls = {
+        "Link.occupancy": pair.links[0].occupancy,
+        "LinkView.occupancy": pair_ctx.link_in_route(0, 0).occupancy,
+        "intersection_grid": joint,
+        "first_free_block": algorithms.first_free_block(joint, 8, 3),
+        "exact_free_block": algorithms.exact_free_block(joint, 8, 2),
+    }
+    grids = {name: value if type(value) is int else [value.start, value.stop]
+             for name, value in calls.items()}
+"""
 
-        from eonsim.algorithms import intersection_grid
-        network = eonsim.Network.build("pair", 2, [(0, 1, 1.0, 8), (1, 0, 1.0, 8)])
-        routes = eonsim.RouteSet()
-        routes.add_node_path(network, [0, 1])
-        network.links[0].occupy_slots(2, 5)
-        option = eonsim.ModulationOption("BPSK", 1, 1e9)
-        entry = eonsim.BitRateEntry(10.0, "10", (option,))
-        ctx = eonsim.AllocationContext(network, 0, 1, routes.routes_for(0, 1), entry)
-        grids = {"intersection_grid": intersection_grid(ctx, 0),
-                 "occupancy": network.links[0].occupancy}
-        result = {
-            "after_import": after_import,
-            "after_adapters": loaded(),
-            "grids": {name: {"ndarray": type(grid) is sys.modules["numpy"].ndarray,
-                             "dtype": str(grid.dtype),
-                             "values": grid.tolist()}
-                      for name, grid in grids.items()},
-        }
-    """)
-    assert result["after_import"] == []
-    assert "numpy" in result["after_adapters"]
-    expected = [2 <= slot < 5 for slot in range(8)]
-    for name, grid in result["grids"].items():
-        assert grid == {"ndarray": True, "dtype": "bool", "values": expected}, name
+GRID_VALUES = {
+    "Link.occupancy": 0b11100,
+    "LinkView.occupancy": 0b11100,
+    "intersection_grid": 0b11100,
+    "first_free_block": [5, 8],
+    "exact_free_block": [0, 2],
+}
+
+
+@pytest.mark.parametrize("prelude", [HIDE_NUMPY, ""], ids=["hidden", "visible"])
+def test_grid_calls_load_no_numpy(prelude):
+    result = run_fresh("""
+    import eonsim
+    after_import = loaded()
+""" + GRID_CALLS + """
+    result = {"after_import": after_import, "after_calls": loaded(),
+              "grids": grids}
+""", prelude=prelude)
+    assert result["after_import"] == result["after_calls"] == []
+    assert result["grids"] == GRID_VALUES
 
 
 #: Parses the three bundled NSFNet documents, runs FF, EF and FLF and two CLI
@@ -167,26 +181,9 @@ CORE_RUNS = """
     result = {"counts": counts, "dat": dat}
 """
 
-#: Appended to ``CORE_RUNS``: what each of the five ndarray calls raises.
-NDARRAY_CALLS = """
-    ctx = eonsim.AllocationContext(network, 0, 1, routes.routes_for(0, 1),
-                                   catalog[0])
-    ndarray_calls = {
-        "Link.occupancy": lambda: network.links[0].occupancy,
-        "LinkView.occupancy": lambda: ctx.link_in_route(0, 0).occupancy,
-        "intersection_grid": lambda: algorithms.intersection_grid(ctx, 0),
-        "first_free_block": lambda: algorithms.first_free_block([False] * 8, 1),
-        "exact_free_block": lambda: algorithms.exact_free_block([False] * 8, 1),
-    }
-    raised = {}
-    for name, call in ndarray_calls.items():
-        try:
-            call()
-        except ImportError as err:
-            raised[name] = str(err)
-        else:
-            raised[name] = None
-    result["raised"] = raised
+#: Appended to ``CORE_RUNS``: what each of the five grid calls returns.
+GRID_RESULT = GRID_CALLS + """
+    result["grids"] = grids
 """
 
 
@@ -195,7 +192,7 @@ def test_core_runs_with_numpy_hidden(tmp_path):
     normal_dir = tmp_path / "normal"
     hidden_dir.mkdir()
     normal_dir.mkdir()
-    hidden = run_fresh(CORE_RUNS + NDARRAY_CALLS, str(hidden_dir),
+    hidden = run_fresh(CORE_RUNS + GRID_RESULT, str(hidden_dir),
                        prelude=HIDE_NUMPY)
     normal = run_fresh(CORE_RUNS, str(normal_dir))
 
@@ -209,6 +206,4 @@ def test_core_runs_with_numpy_hidden(tmp_path):
     assert hidden["dat"]["1"] == hidden["dat"]["2"]
     assert hidden["dat"] == normal["dat"]
 
-    assert len(hidden["raised"]) == 5
-    for name, message in hidden["raised"].items():
-        assert message is not None and "numpy" in message, name
+    assert hidden["grids"] == GRID_VALUES

@@ -1,4 +1,5 @@
 import math
+import numbers
 from collections import Counter
 
 import pytest
@@ -206,6 +207,20 @@ class TestStreamIndependence:
         assert draws_base != draws_tweaked
 
 
+@numbers.Integral.register
+class Count:
+    """An integer type that is not an ``int``, registered as numpy's int64 is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __eq__(self, other):
+        return self.value == other
+
+
 class TestTrafficProfile:
     def test_defaults(self):
         profile = TrafficProfile()
@@ -229,8 +244,9 @@ class TestTrafficProfile:
         with pytest.raises(ValueError):
             TrafficProfile(**kwargs)
 
-    def test_integer_types_accepted_as_goal(self, np):
-        assert TrafficProfile(goal_connections=np.int64(7)).goal_connections == 7
+    def test_integer_types_accepted_as_goal(self):
+        assert not isinstance(Count(7), int)
+        assert TrafficProfile(goal_connections=Count(7)).goal_connections == 7
 
     @pytest.mark.parametrize("field", ["arrival_rate", "departure_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
