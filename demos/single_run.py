@@ -43,6 +43,6 @@ print("per-bitrate breakdown:")
 for line in report.per_bitrate_lines():
     print(" ", line)
 
-# Every accepted connection departed before run() returned, so the
-# spectrum must be completely free again.
-assert network.all_grids_free()
+# Every accepted connection departed before run() returned, so the run's
+# own copy of the network must be completely free again.
+assert sim.config.network.all_grids_free()

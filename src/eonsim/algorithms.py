@@ -108,6 +108,8 @@ def _free_mask(grid: int, slot_count: int) -> int:
     if not isinstance(grid, int):
         raise TypeError(
             f"a grid must be an int bitmask, got {type(grid).__name__}")
+    if slot_count < 1:
+        raise ValueError(f"slot_count must be >= 1, got {slot_count}")
     return ((1 << slot_count) - 1) & ~grid
 
 

@@ -30,7 +30,7 @@ A minimal algorithm looks like::
 With strict auditing enabled (the default), commits additionally enforce the
 two defining spectrum constraints: the staged slots on each link must form
 one contiguous block, and every link of the connection must use the same
-slot interval.
+slot interval.  An accepted request must also have staged something.
 
 The bundled search reads a precomputed :class:`RoutePlan` per candidate
 route: link ids, the distinct admissible slot widths with their shift
@@ -328,11 +328,12 @@ class AllocationContext:
 
         Raises :class:`CommitConflictError` if any staged range is no longer
         free, and — in strict-audit mode — :class:`AuditViolationError` if
-        the staged ranges are not contiguous per link or do not span the
-        identical interval on every staged link.  On any error the live
-        grids are left bit-identical to their prior state.
+        nothing is staged, or if the staged ranges are not contiguous per
+        link or do not span the identical interval on every staged link.
+        On any error the live grids are left bit-identical to their prior
+        state.
         """
-        if self._strict_audit and self._staged:
+        if self._strict_audit:
             self._audit()
         links = self._network.links
         staged = self._staged
@@ -359,6 +360,10 @@ class AllocationContext:
         # staged range is the same interval, each link holds it once and
         # both constraints hold.
         staged = self._staged
+        if not staged:
+            raise AuditViolationError(
+                "ALLOCATED with nothing staged: an accepted connection must "
+                "hold at least one slot range")
         _, first_start, first_stop = staged[0]
         for _, start, stop in staged:
             if start != first_start or stop != first_stop:

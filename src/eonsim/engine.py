@@ -1,13 +1,19 @@
 """Discrete-event core: pending arrival, departure heap, run loop.
 
+A simulator runs on its own copy of the configured network, taken when it
+is built: the same topology, with each link's grid as it was at that
+moment.  A run therefore never changes the caller's network, and one
+configuration serves any number of runs, aborted ones included.
+
 One arrival is pending at any moment; processing it schedules the next one
 until the configured number of requests has been dispatched, after which
-the remaining departures drain and every grid ends all-free.  Departures
-wait in a heap of plain ``(time, event_id, connection_id, holdings)``
-tuples, one per live connection, so the heap is also the live-connection
-table.  The next event is the earliest departure (the lowest event id among
-equal times) unless the arrival is strictly earlier: spectrum is freed
-before a competing request is evaluated, so ties never inflate blocking.
+the remaining departures drain and every grid ends as it started.
+Departures wait in a heap of plain ``(time, event_id, connection_id,
+holdings)`` tuples, one per live connection, so the heap is also the
+live-connection table.  The next event is the earliest departure (the
+lowest event id among equal times) unless the arrival is strictly earlier:
+spectrum is freed before a competing request is evaluated, so ties never
+inflate blocking.
 An event listener receives an :class:`Event` view built for it, and
 :attr:`Simulator.live_connections` is a snapshot built from the heap.
 
@@ -23,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable, NamedTuple, TextIO
 
@@ -78,7 +84,11 @@ class ConnectionRecord:
 
 @dataclass(frozen=True)
 class SimulatorConfig:
-    """Frozen bundle of everything one run needs."""
+    """Frozen bundle of everything one run needs.
+
+    No run mutates it: each :class:`Simulator` works on its own copy of
+    ``network``, so a config can be reused after any run.
+    """
 
     network: Network
     routes: RouteSet
@@ -98,9 +108,13 @@ class Simulator:
         report = sim.run()
 
     The configuration and the allocator are fixed at construction; an
-    allocator of ``None`` is rejected by :meth:`init`.  A simulator
-    instance performs exactly one run; :meth:`run` called again returns its
-    report, or raises :class:`RunAbortedError` if it aborted.
+    allocator of ``None`` is rejected by :meth:`init`.  Construction copies
+    ``config.network`` (topology and current grids, O(links)) and
+    :attr:`config` holds that copy, so ``sim.config.network`` carries the
+    run's grids while the caller's network stays as it was; routes and
+    catalog are shared.  A simulator instance performs exactly one run;
+    :meth:`run` called again returns its report, or raises
+    :class:`RunAbortedError` if it aborted.
 
     One pending arrival waits beside a heap of departures; the earliest
     departure goes next unless the arrival is strictly earlier.
@@ -115,7 +129,10 @@ class Simulator:
                  progress_every: int | None = None,
                  out: TextIO | None = None,
                  event_listener: Callable[["Simulator", Event], None] | None = None):
-        self._config = config
+        network = config.network.fresh_copy()
+        for own, given in zip(network.links, config.network.links):
+            own._mask = given._mask  # keeps any background occupancy
+        self._config = replace(config, network=network)
         self._allocator = allocator
         self._algorithm_name = algorithm_name or getattr(
             allocator, "__name__", "unnamed")

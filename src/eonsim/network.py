@@ -207,7 +207,12 @@ class RouteSet:
 
     def add_route(self, network: Network, src: int, dst: int,
                   link_ids: Sequence[int]) -> Route:
-        """Append a route built from explicit link ids, validating the chain."""
+        """Append a route built from explicit link ids, validating the chain.
+
+        The links must chain from ``src`` to ``dst`` and no link may appear
+        twice: a connection holds one slot interval on every link of its
+        route, which would stage the same slots twice on a repeated link.
+        """
         if not link_ids:
             raise ValueError(f"route for ({src}, {dst}) must contain at least one link")
         links = [network.link(lid) for lid in link_ids]
@@ -225,6 +230,11 @@ class RouteSet:
                     f"route for ({src}, {dst}): link {a.id} ends at {a.dst} but "
                     f"link {b.id} starts at {b.src}"
                 )
+        repeated = [lid for i, lid in enumerate(link_ids) if lid in link_ids[:i]]
+        if repeated:
+            raise ValueError(
+                f"route for ({src}, {dst}) uses link {repeated[0]} more than once"
+            )
         route = Route(tuple(link_ids), sum(l.length_km for l in links))
         self._routes.setdefault((src, dst), []).append(route)
         return route

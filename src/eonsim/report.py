@@ -99,9 +99,8 @@ def _sweep_worker(config, profile, algorithm_name: str,
     from .algorithms import ALGORITHMS
     from .engine import Simulator
 
-    run_config = dataclasses.replace(
-        config, network=config.network.fresh_copy(), profile=profile)
-    simulator = Simulator(run_config, ALGORITHMS[algorithm_name],
+    simulator = Simulator(dataclasses.replace(config, profile=profile),
+                          ALGORITHMS[algorithm_name],
                           algorithm_name=algorithm_name,
                           progress_every=progress_every,
                           out=sys.stdout if progress_every else None)
@@ -117,9 +116,11 @@ def sweep_reports(config, lambdas, algorithm_name: str, *,
     Returns the report of every run, ordered by increasing load.  Every
     run's profile is built before the first run starts, so a rate the
     profile rejects raises :class:`ValueError` without running anything.
-    Each run gets a fresh copy of the network, so runs share no mutable
-    state and ``workers > 1`` executes them in parallel processes without
-    changing the results; ``workers`` below 1 raises :class:`ValueError`.
+    Each run's :class:`~eonsim.engine.Simulator` works on its own copy of
+    ``config.network``, so the runs share no mutable state, ``config`` is
+    left as it was, and ``workers > 1`` executes them in parallel processes
+    without changing the results; ``workers`` below 1 raises
+    :class:`ValueError`.
     """
     from .algorithms import ALGORITHMS
 

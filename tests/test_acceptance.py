@@ -72,7 +72,7 @@ def grid_runs(bundle):
     for alg, scenario, lam in itertools.product(ALGS, SCENARIOS, LAMBDAS):
         route_key, catalog_key = scenario.split("-")
         config = SimulatorConfig(
-            network=bundle["network"].fresh_copy(),
+            network=bundle["network"],
             routes=bundle["routes"][route_key],
             catalog=bundle["catalogs"][catalog_key],
             profile=TrafficProfile(arrival_rate=lam, departure_rate=10,
@@ -82,7 +82,7 @@ def grid_runs(bundle):
         report = sim.run()
         runs[(alg, scenario, lam)] = {
             "report": report,
-            "drained": config.network.all_grids_free(),
+            "drained": sim.config.network.all_grids_free(),
         }
     return runs
 
@@ -109,7 +109,7 @@ def loss_system_run():
     sim = Simulator(config, eonsim.first_fit, algorithm_name="FF")
     sim.init()
     report = sim.run()
-    return {"report": report, "drained": network.all_grids_free()}
+    return {"report": report, "drained": sim.config.network.all_grids_free()}
 
 
 # -- criteria -------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_criterion_4_drain_and_conservation(grid_runs, loss_system_run):
 def test_criterion_5_determinism(bundle, tmp_path):
     def sweep_once(name):
         config = SimulatorConfig(
-            network=bundle["network"].fresh_copy(),
+            network=bundle["network"],
             routes=bundle["routes"]["3r"],
             catalog=bundle["catalogs"]["mod"],
             profile=TrafficProfile(arrival_rate=18, departure_rate=10,
@@ -219,7 +219,7 @@ def test_criterion_5_determinism(bundle, tmp_path):
         assert sweep_once("first.dat") == sweep_once("second.dat")
         for field in eonsim.Seeds._fields:
             config = SimulatorConfig(
-                network=bundle["network"].fresh_copy(),
+                network=bundle["network"],
                 routes=bundle["routes"]["3r"],
                 catalog=bundle["catalogs"]["bpsk"],
                 profile=TrafficProfile(arrival_rate=120, departure_rate=10,
@@ -229,7 +229,7 @@ def test_criterion_5_determinism(bundle, tmp_path):
             sim.init()
             report = sim.run()
             assert report.accepted + report.blocked == report.processed == 5_000
-            assert config.network.all_grids_free(), field
+            assert sim.config.network.all_grids_free(), field
 
     verdict(5, "determinism and seed isolation", check)
 
@@ -237,7 +237,7 @@ def test_criterion_5_determinism(bundle, tmp_path):
 def test_criterion_6_strict_audit_soundness(bundle, grid_runs):
     def run_adversary(allocator):
         config = SimulatorConfig(
-            network=bundle["network"].fresh_copy(),
+            network=bundle["network"],
             routes=bundle["routes"]["3r"],
             catalog=bundle["catalogs"]["bpsk"],
             profile=TrafficProfile(goal_connections=10))
@@ -245,7 +245,7 @@ def test_criterion_6_strict_audit_soundness(bundle, grid_runs):
         sim.init()
         with pytest.raises(AuditViolationError):
             sim.run()
-        assert config.network.all_grids_free()
+        assert sim.config.network.all_grids_free()
 
     def non_contiguous(ctx):
         link = ctx.route_link_ids(0)[0]

@@ -170,6 +170,13 @@ class TestGridType:
                            match=r"^a grid must be an int bitmask, got list$"):
             kernel(cells, 8, 2)
 
+    @pytest.mark.parametrize("slot_count", [0, -1])
+    @pytest.mark.parametrize("kernel", [first_free_block, exact_free_block])
+    def test_slot_count_below_one_raises_value_error(self, kernel, slot_count):
+        with pytest.raises(ValueError,
+                           match=rf"^slot_count must be >= 1, got {slot_count}$"):
+            kernel(0, slot_count, 1)
+
 
 class TestOracleEquivalence:
     @staticmethod
@@ -440,7 +447,7 @@ class TestFirstFitOnPublicCalls:
             return verdict
 
         config = eonsim.SimulatorConfig(
-            network=network.fresh_copy(), routes=routes, catalog=catalog,
+            network=network, routes=routes, catalog=catalog,
             profile=eonsim.TrafficProfile(arrival_rate=1500.0, departure_rate=10.0,
                                           goal_connections=2000))
         sim = eonsim.Simulator(config, recording, algorithm_name="FF")

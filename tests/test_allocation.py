@@ -202,6 +202,18 @@ class TestCommit:
         chain_ctx.commit_staged()
         assert chain_net.links[0].occupied_count == 4
 
+    def test_strict_audit_rejects_empty_staging(self, chain_net, chain_ctx):
+        with pytest.raises(AuditViolationError, match="nothing staged"):
+            chain_ctx.commit_staged()
+        assert chain_net.all_grids_free()
+
+    def test_non_strict_mode_commits_empty_staging(self, chain_net, chain_routes,
+                                                   one_slot_catalog):
+        ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0],
+                       strict_audit=False)
+        assert ctx.commit_staged() == ()
+        assert chain_net.all_grids_free()
+
     def test_non_strict_mode_skips_audit(self, chain_net, chain_routes,
                                          one_slot_catalog):
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0],

@@ -20,6 +20,7 @@ from eonsim.errors import (
     AllocatorFaultError,
     AlreadyInitializedError,
     AlreadyOccupiedError,
+    AuditViolationError,
     CommitConflictError,
     HeterogeneousSlotCountsError,
     InvalidConfigError,
@@ -125,7 +126,7 @@ class TestRunBasics:
         sim.init()
         report = sim.run()
         assert (report.processed, report.accepted) == (1, 1)
-        assert pair_net.all_grids_free()
+        assert sim.config.network.all_grids_free()
 
     def test_rejection_discards_staged(self, pair_net, pair_config):
         def stage_then_reject(ctx):
@@ -136,7 +137,7 @@ class TestRunBasics:
         sim.init()
         report = sim.run()
         assert report.blocked == 5
-        assert pair_net.all_grids_free()
+        assert sim.config.network.all_grids_free()
 
     def test_second_run_returns_same_report(self, pair_config):
         sim = Simulator(pair_config(goal=3), always_blocked)
@@ -188,7 +189,7 @@ class TestRunBasics:
         assert pending == 1  # exactly the departure of the new connection
         assert occupied  # route links carry the staged range
         assert all(grid == mask_of([True] * 4) for grid in occupied.values())
-        assert chain_net.all_grids_free()
+        assert sim.config.network.all_grids_free()
 
     def test_conservation_and_drain_on_real_run(self, nsfnet, nsfnet_routes,
                                                 table_catalog):
@@ -200,7 +201,7 @@ class TestRunBasics:
         sim.init()
         report = sim.run()
         assert report.accepted + report.blocked == report.processed == 4_000
-        assert nsfnet.all_grids_free()
+        assert sim.config.network.all_grids_free()
         assert not sim.live_connections
 
 
@@ -258,7 +259,14 @@ class TestAllocatorFaults:
         with pytest.raises(AllocatorFaultError, match="strict_audit"):
             sim.run()
         assert sim.report.accepted == 0
-        assert pair_net.all_grids_free()
+        assert sim.config.network.all_grids_free()
+
+    def test_accepting_with_nothing_staged_aborts(self, pair_config):
+        sim = Simulator(pair_config(goal=10), lambda ctx: ALLOCATED)
+        sim.init()
+        with pytest.raises(AuditViolationError, match="nothing staged"):
+            sim.run()
+        assert sim.report.accepted == 0
 
     def test_commit_conflict_aborts(self, pair_net, pair_routes, one_slot_catalog):
         # every request claims slot 0 of link 0 and never departs in time
@@ -274,6 +282,85 @@ class TestAllocatorFaults:
         sim.init()
         with pytest.raises(CommitConflictError):
             sim.run()
+
+
+class TestOwnNetwork:
+    """A simulator runs on its own copy of the network, never on the caller's."""
+
+    @staticmethod
+    def masks(network):
+        return [link.occupancy for link in network.links]
+
+    @staticmethod
+    def run_ff(config, allocator=first_fit):
+        sim = Simulator(config, allocator, algorithm_name="FF")
+        sim.init()
+        return sim, sim.run()
+
+    def test_copy_keeps_topology_grids_routes_and_catalog(
+            self, chain_net, chain_routes, one_slot_catalog):
+        chain_net.links[2].occupy_slots(1, 3)
+        config = SimulatorConfig(network=chain_net, routes=chain_routes,
+                                 catalog=one_slot_catalog)
+        own = Simulator(config, first_fit).config
+        assert own.network is not chain_net
+        assert all(mine is not given for mine, given
+                   in zip(own.network.links, chain_net.links))
+        assert [repr(link) for link in own.network.links] == [
+            repr(link) for link in chain_net.links]
+        assert own.network.adjacency == chain_net.adjacency
+        assert self.masks(own.network) == self.masks(chain_net)
+        assert dataclasses.replace(own, network=chain_net) == config
+        assert own.routes is chain_routes and own.catalog is one_slot_catalog
+
+    def test_run_leaves_the_callers_network_as_it_was(
+            self, nsfnet, nsfnet_routes, bpsk_catalog):
+        nsfnet.links[5].occupy_slots(10, 90)  # background occupancy
+        before = self.masks(nsfnet)
+        config = SimulatorConfig(
+            network=nsfnet, routes=nsfnet_routes, catalog=bpsk_catalog,
+            profile=TrafficProfile(arrival_rate=1500, departure_rate=10,
+                                   goal_connections=2_000))
+        seen = []
+
+        def watch(sim, event):
+            if event.kind is EventKind.ARRIVAL:
+                seen.append(sum(link.occupied_count
+                                for link in sim.config.network.links))
+
+        sim = Simulator(config, first_fit, event_listener=watch)
+        sim.init()
+        sim.run()
+        assert max(seen) > 80  # the run's own grids carried its connections
+        assert self.masks(nsfnet) == before
+        assert self.masks(sim.config.network) == before  # drained to the start
+
+    def test_config_is_reusable_after_an_aborted_run(
+            self, nsfnet, nsfnet_routes, bpsk_catalog):
+        config = SimulatorConfig(
+            network=nsfnet, routes=nsfnet_routes, catalog=bpsk_catalog,
+            profile=TrafficProfile(arrival_rate=1500, departure_rate=10,
+                                   goal_connections=2_000))
+        calls = []
+
+        def fails_on_1000th_call(ctx):
+            calls.append(None)
+            if len(calls) == 1_000:
+                raise RuntimeError("boom")
+            return first_fit(ctx)
+
+        before = self.masks(nsfnet)
+        with pytest.raises(AllocatorFaultError):
+            self.run_ff(config, fails_on_1000th_call)
+        assert len(calls) == 1_000
+        assert self.masks(nsfnet) == before
+        sim, report = self.run_ff(config)
+        assert (report.processed, report.blocked) == (2_000, 258)
+        assert sim.config.network.all_grids_free()
+        assert not sim.live_connections
+        _, fresh = self.run_ff(dataclasses.replace(
+            config, network=eonsim.data.load_nsfnet()))
+        assert (fresh.accepted, fresh.blocked) == (report.accepted, report.blocked)
 
 
 class TestEventQueue:
@@ -389,7 +476,7 @@ class TestInvariantsUnderListener:
 class TestDeterminism:
     def run_once(self, network, routes, catalog, seeds=eonsim.Seeds()):
         config = SimulatorConfig(
-            network=network.fresh_copy(), routes=routes, catalog=catalog,
+            network=network, routes=routes, catalog=catalog,
             profile=TrafficProfile(arrival_rate=120, departure_rate=10,
                                    goal_connections=3_000),
             seeds=seeds)
@@ -436,8 +523,9 @@ class TestProgressOutput:
             return ALLOCATED
 
         out = io.StringIO()
-        sim = Simulator(pair_config(goal=30), every_third_blocked,
-                        progress_every=1, out=out)
+        # Accepts without staging, which only a non-strict run allows.
+        sim = Simulator(pair_config(goal=30, strict_audit=False),
+                        every_third_blocked, progress_every=1, out=out)
         sim.init()
         sim.run()
         progress = [line for line in out.getvalue().splitlines()
@@ -581,18 +669,18 @@ class TestRunPlans:
         catalog = eonsim.data.load_bit_rates()
         calls = self.count_plans(monkeypatch)
         Simulator(SimulatorConfig(
-            network=template.fresh_copy(), routes=routes, catalog=catalog,
+            network=template, routes=routes, catalog=catalog,
             profile=TrafficProfile(arrival_rate=180.0, departure_rate=10.0,
                                    goal_connections=2_000)),
             first_fit, algorithm_name="FF").init()
         assert calls == []  # init() builds none
 
-        first = self.run(template.fresh_copy(), routes, catalog)
+        first = self.run(template, routes, catalog)
         kinds = {(tuple(route.link_ids for route in plan_routes), entry.label)
                  for _, plan_routes, entry in calls}
         assert 0 < len(calls) == len(kinds)
         # A second run on the same route set and catalog gives the same report.
-        assert self.run(template.fresh_copy(), routes, catalog) == first
+        assert self.run(template, routes, catalog) == first
 
     def test_added_route_is_used_by_the_next_run(self):
         network = self.triangle()
@@ -604,16 +692,13 @@ class TestRunPlans:
             return [(verdict, staged) for src, dst, verdict, staged in placements
                     if (src, dst) == (0, 1)]
 
-        blocked = network.fresh_copy()
-        blocked.links[0].occupy_slots(0, 8)  # the direct link 0 -> 1 is full
-        _, before = self.run(blocked, routes, catalog, goal=300, lam=3.0)
+        network.links[0].occupy_slots(0, 8)  # the direct link 0 -> 1 is full
+        _, before = self.run(network, routes, catalog, goal=300, lam=3.0)
         assert before and all(verdict is NOT_ALLOCATED
                               for verdict, _ in pair_01(before))
 
         detour = routes.add_node_path(network, [0, 2, 1])
-        blocked = network.fresh_copy()
-        blocked.links[0].occupy_slots(0, 8)
-        _, after = self.run(blocked, routes, catalog, goal=300, lam=3.0)
+        _, after = self.run(network, routes, catalog, goal=300, lam=3.0)
         assert pair_01(after) and all(
             verdict is ALLOCATED
             and {link_id for link_id, _, _ in staged} == set(detour.link_ids)
@@ -628,7 +713,7 @@ class TestRunPlans:
                 10.0, "10", (eonsim.ModulationOption("BPSK", slots, 1e9),)),)
 
         def widths(catalog):
-            _, placements = self.run(network.fresh_copy(), routes, catalog,
+            _, placements = self.run(network, routes, catalog,
                                      goal=100, lam=3.0)
             return {stop - start for _, _, _, staged in placements
                     for _, start, stop in staged}
@@ -662,10 +747,9 @@ class TestRunPlans:
         mixed = eonsim.Network.build("mixed", 3, [
             (0, 1, 100.0, 8), (1, 0, 100.0, 8), (0, 2, 100.0, 8),
             (2, 0, 100.0, 8), (1, 2, 100.0, 16), (2, 1, 100.0, 8)])
-        starved = mixed.fresh_copy()
-        starved.links[2].occupy_slots(0, 8)  # only the mixed route is left for (0, 2)
+        mixed.links[2].occupy_slots(0, 8)  # only the mixed route is left for (0, 2)
         with pytest.raises(AllocatorFaultError) as excinfo:
-            self.run(starved, routes, catalog, goal=300, lam=3.0)
+            self.run(mixed, routes, catalog, goal=300, lam=3.0)
         assert isinstance(excinfo.value.__cause__, HeterogeneousSlotCountsError)
         assert "route 1 mixes links with slot counts [8, 16]" in str(excinfo.value)
 
@@ -673,7 +757,7 @@ class TestRunPlans:
         template = eonsim.data.load_nsfnet()
         routes = eonsim.data.load_nsfnet_routes(template)
         catalog = eonsim.data.load_bit_rates()
-        self.run(template.fresh_copy(), routes, catalog, goal=500)
+        self.run(template, routes, catalog, goal=500)
         routes_ref, catalog_ref = weakref.ref(routes), weakref.ref(catalog)
         del routes, catalog
         gc.collect()

@@ -122,6 +122,15 @@ class TestParseRoutes:
                 "name": "x", "routes": [{"src": 0, "dst": 2, "paths": [[0, 1]]}]
             }), self.small_net())
 
+    def test_path_repeating_a_link_is_located(self):
+        with pytest.raises(ValidationError, match=(
+                r"^routes\[0\]\.paths\[1\]: route for \(0, 1\) "
+                r"uses link 0 more than once$")):
+            parse_routes(json.dumps({
+                "name": "x",
+                "routes": [{"src": 0, "dst": 1, "paths": [[0, 1], [0, 1, 0, 1]]}]
+            }), self.small_net())
+
     def test_three_paths_keep_file_order(self, nsfnet, nsfnet_routes):
         routes = nsfnet_routes.routes_for(0, 5)
         assert len(routes) == 3

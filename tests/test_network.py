@@ -210,6 +210,14 @@ class TestRoutes:
                 r"^route for \(0, 1\): link 0 ends at 1 but link 3 starts at 2$")):
             routes.add_route(chain_net, 0, 1, [0, 3])
 
+    def test_route_must_not_repeat_a_link(self, pair_net):
+        # 0 -> 1 -> 0 -> 1 chains, but would hold two ranges on link 0
+        routes = eonsim.RouteSet()
+        with pytest.raises(ValueError, match=(
+                r"^route for \(0, 1\) uses link 0 more than once$")):
+            routes.add_route(pair_net, 0, 1, [0, 1, 0])
+        assert routes.pair_count == 0
+
     def test_route_needs_a_link(self, chain_net):
         routes = eonsim.RouteSet()
         with pytest.raises(ValueError, match=(

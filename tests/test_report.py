@@ -140,6 +140,21 @@ class TestRunSweep:
         run_sweep(base_config, [60], "FF")
         assert base_config.network.all_grids_free()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_leaves_a_pre_occupied_network_as_it_was(self, base_config,
+                                                           workers):
+        base_config.network.links[0].occupy_slots(2, 5)
+        before = [link.occupancy for link in base_config.network.links]
+        reports = sweep_reports(base_config, [18, 90], "FF", workers=workers)
+        assert all(report.accepted for report in reports)
+        assert [link.occupancy for link in base_config.network.links] == before
+
+    def test_sweep_runs_on_the_configured_grids(self, base_config):
+        for link in base_config.network.links:
+            link.occupy_slots(0, 8)  # background occupancy fills every link
+        assert [blocking for _, blocking in run_sweep(
+            base_config, [18, 90], "FF")] == [1.0, 1.0]
+
     def test_parallel_workers_match_serial(self, base_config):
         serial = run_sweep(base_config, [18, 90], "FF")
         parallel = run_sweep(base_config, [18, 90], "FF", workers=2)

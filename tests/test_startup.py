@@ -158,7 +158,7 @@ CORE_RUNS = """
     counts = {}
     for name, allocator in eonsim.ALGORITHMS.items():
         config = eonsim.SimulatorConfig(
-            network=network.fresh_copy(), routes=routes, catalog=catalog,
+            network=network, routes=routes, catalog=catalog,
             profile=eonsim.TrafficProfile(arrival_rate=1500.0, departure_rate=10.0,
                                           goal_connections=2000),
         )
