@@ -52,23 +52,20 @@ def widest_fit(ctx):
     return NOT_ALLOCATED
 
 
-def run(allocator, name):
+if __name__ == "__main__":
     network = data.load_nsfnet()
     config = eonsim.SimulatorConfig(
         network=network,
         routes=data.load_nsfnet_routes(network),
         catalog=data.load_bpsk_bit_rates(),
-        profile=eonsim.TrafficProfile(arrival_rate=160.0, departure_rate=10.0,
-                                      goal_connections=20_000),
+        profile=eonsim.TrafficProfile(departure_rate=10.0, goal_connections=20_000),
     )
-    sim = eonsim.Simulator(config, allocator, algorithm_name=name)
-    sim.init()
-    return sim.run()
-
-
-if __name__ == "__main__":
-    mine = run(widest_fit, "widest")
-    reference = run(eonsim.first_fit, "FF")
+    # workers=1 runs in this process: with worker processes, hop_histogram
+    # would be filled in the workers and stay empty here.
+    [mine] = eonsim.sweep_reports(config, [160.0], widest_fit,
+                                  algorithm_name="widest", workers=1)
+    [reference] = eonsim.sweep_reports(config, [160.0], eonsim.first_fit,
+                                       algorithm_name="FF", workers=1)
     print(f"widest fit blocking : {mine.blocking_probability:.4e}")
     print(f"first fit blocking  : {reference.blocking_probability:.4e}")
     print(f"hops of accepted connections (widest fit): {sorted(hop_histogram.items())}")

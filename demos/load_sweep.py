@@ -28,14 +28,18 @@ scenarios = {
 
 OUT_DIR.mkdir(exist_ok=True)
 for scenario, (routes, catalog) in scenarios.items():
-    for algorithm in ("FF", "EF", "FLF"):
+    for algorithm, allocator in (("FF", eonsim.first_fit), ("EF", eonsim.exact_fit),
+                                 ("FLF", eonsim.first_last_fit)):
         config = eonsim.SimulatorConfig(
             network=network, routes=routes, catalog=catalog,
             profile=eonsim.TrafficProfile(arrival_rate=LAMBDAS[0],
                                           departure_rate=10.0,
                                           goal_connections=GOAL),
         )
-        results = eonsim.run_sweep(config, LAMBDAS, algorithm)
+        reports = eonsim.sweep_reports(config, LAMBDAS, allocator,
+                                       algorithm_name=algorithm)
+        results = [(report.erlang, report.blocking_probability)
+                   for report in reports]
         out = OUT_DIR / f"{scenario}_{algorithm}.dat"
         eonsim.write_dat(results, out)
         peak = results[-1][1]

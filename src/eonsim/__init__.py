@@ -43,6 +43,7 @@ from .engine import (
     EventKind,
     Simulator,
     SimulatorConfig,
+    sweep_reports,
 )
 from .inputs import (
     load_bit_rates,
@@ -56,7 +57,7 @@ from .inputs import (
     serialize_routes,
 )
 from .network import Link, Network, Node, Route, RouteSet
-from .report import SimulationReport, run_sweep, write_dat
+from .report import SimulationReport, write_dat
 from .traffic import (
     BitRateCatalog,
     BitRateEntry,
@@ -113,12 +114,12 @@ __all__ = [
     "parse_bit_rates",
     "parse_network",
     "parse_routes",
-    "run_sweep",
     "sample_bitrate",
     "sample_src_dst",
     "serialize_bit_rates",
     "serialize_network",
     "serialize_routes",
+    "sweep_reports",
     "uniform_index",
     "write_dat",
 ]

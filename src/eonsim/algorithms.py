@@ -213,7 +213,7 @@ def first_last_fit(ctx: AllocationContext,
     return _search_routes(ctx, direction, exact_first=False)
 
 
-#: Registry for CLI / sweep selection by name.
+#: Registry for CLI selection by name.
 ALGORITHMS = {
     "FF": first_fit,
     "EF": exact_fit,

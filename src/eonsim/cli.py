@@ -13,10 +13,10 @@ import argparse
 import sys
 
 from .algorithms import ALGORITHMS
-from .engine import SimulatorConfig
+from .engine import SimulatorConfig, sweep_reports
 from .errors import EonSimError
 from .inputs import load_bit_rates, load_network, load_routes
-from .report import sweep_reports, write_dat
+from .report import write_dat
 from .traffic import Seeds, TrafficProfile
 
 
@@ -106,7 +106,8 @@ def main(argv=None) -> int:
                         args.seed_bitrate),
             strict_audit=not args.no_strict_audit,
         )
-        reports = sweep_reports(config, lambdas, args.algorithm,
+        reports = sweep_reports(config, lambdas, ALGORITHMS[args.algorithm],
+                                algorithm_name=args.algorithm,
                                 workers=args.workers, progress_every=progress)
         results = [(report.erlang, report.blocking_probability)
                    for report in reports]

@@ -1,4 +1,4 @@
-"""Discrete-event core: pending arrival, departure heap, run loop.
+"""Discrete-event core: pending arrival, departure heap, run loop, load sweeps.
 
 A simulator runs on its own copy of the configured network, taken when it
 is built: the same topology, with each link's grid as it was at that
@@ -26,8 +26,11 @@ destination, bitrate) and reused for the rest of the run, never in
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import heapq
 import itertools
+import sys
 import time as _time
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -37,6 +40,7 @@ from .allocation import ALLOCATED, NOT_ALLOCATED, AllocationContext, request_pla
 from .errors import (
     AllocatorFaultError,
     AlreadyInitializedError,
+    EonSimError,
     InvalidConfigError,
     MissingRoutesError,
     NoAllocatorSetError,
@@ -108,8 +112,9 @@ class Simulator:
         report = sim.run()
 
     The configuration and the allocator are fixed at construction; an
-    allocator of ``None`` is rejected by :meth:`init`.  Construction copies
-    ``config.network`` (topology and current grids, O(links)) and
+    allocator that is not callable, ``None`` included, is rejected by
+    :meth:`init`.  Construction copies ``config.network`` (topology and
+    current grids, O(links)) and
     :attr:`config` holds that copy, so ``sim.config.network`` carries the
     run's grids while the caller's network stays as it was; routes and
     catalog are shared.  A simulator instance performs exactly one run;
@@ -182,8 +187,10 @@ class Simulator:
         """Freeze the configuration, zero the clock, schedule the first arrival."""
         if self._state != "new":
             raise AlreadyInitializedError("init() may only be called once")
-        if self._allocator is None:
-            raise NoAllocatorSetError("the simulator was built with no allocator")
+        if not callable(self._allocator):
+            raise NoAllocatorSetError(
+                f"the allocator must be callable, got {self._allocator!r}; pass "
+                "a function such as eonsim.first_fit, or one from eonsim.ALGORITHMS")
         config = self._config
         if config.network.node_count < 2 or not config.network.links:
             raise InvalidConfigError(
@@ -290,7 +297,11 @@ class Simulator:
                         f"allocator {self._algorithm_name!r} raised "
                         f"{type(err).__name__}: {err}") from err
                 if verdict is ALLOCATED:
-                    holdings = ctx.commit_staged()
+                    try:
+                        holdings = ctx.commit_staged()
+                    except TypeError as err:
+                        raise _non_integer_bound(self._algorithm_name,
+                                                 ctx.staged) from err
                     departs = clock + draw_exponential(departure_stream,
                                                        departure_rate)
                     held_by = next(connection_ids)
@@ -326,3 +337,64 @@ class Simulator:
 
 def _time_in_past(at: float, clock: float) -> TimeInPastError:
     return TimeInPastError(f"event at t={at} is before the clock t={clock}")
+
+
+def _non_integer_bound(algorithm_name: str, staged) -> AllocatorFaultError:
+    # The mask arithmetic of commit_staged fails on a non-int bound before it
+    # sets any bit, so every grid is as it was.
+    link_id, start, stop = next(item for item in staged if not (
+        isinstance(item[1], int) and isinstance(item[2], int)))
+    return AllocatorFaultError(f"allocator {algorithm_name!r} staged [{start!r}, "
+                               f"{stop!r}) on link {link_id}: slot bounds must be int")
+
+
+def _sweep_run(config, allocator, algorithm_name, progress_every, profile):
+    simulator = Simulator(replace(config, profile=profile), allocator,
+                          algorithm_name=algorithm_name, progress_every=progress_every,
+                          out=sys.stdout if progress_every else None)
+    simulator.init()
+    return simulator.run()
+
+
+def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
+                  algorithm_name: str | None = None,
+                  workers: int = 1,
+                  progress_every: int | None = None) -> list[SimulationReport]:
+    """One independent simulation per arrival rate, same seeds each time.
+
+    Each run is ``Simulator(replace(config, profile=p), allocator,
+    algorithm_name=algorithm_name)``, so any allocation callable can be
+    swept.  Returns the reports ordered by increasing load.  Every profile is
+    built before the first run, so a rate the profile rejects raises
+    :class:`ValueError` without running anything, as ``workers`` below 1 does.
+    The runs share no mutable state and leave ``config`` as it was, so
+    ``workers > 1`` runs them in up to one process per rate, with the same
+    results.  The allocator then reaches the workers by pickle, by reference:
+    a module-level function or a ``functools.partial`` of one works, a lambda
+    does not, and module-level state it keeps changes in the workers only.
+    """
+    profiles = sorted((replace(config.profile, arrival_rate=float(lam))
+                       for lam in lambdas), key=lambda profile: profile.arrival_rate)
+    if not profiles:
+        raise ValueError("at least one arrival rate is required")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(profiles))
+    run = functools.partial(_sweep_run, config, allocator, algorithm_name,
+                            progress_every)
+    if workers > 1:
+        # Imported here: it pulls in multiprocessing, which serial runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+        executor = ProcessPoolExecutor(max_workers=workers)
+    else:
+        executor = contextlib.nullcontext()
+    with executor as pool:
+        outcomes = pool.map(run, profiles) if pool else map(run, profiles)
+        reports = []
+        for profile in profiles:
+            try:
+                reports.append(next(outcomes))
+            except EonSimError as err:
+                raise EonSimError(f"sweep run at lambda={profile.arrival_rate:g} "
+                                  f"failed: {err}") from err
+    return reports

@@ -82,7 +82,7 @@ class AuditViolationError(AllocatorFaultError):
 # -- simulator lifecycle -------------------------------------------------------
 
 class NoAllocatorSetError(EonSimError):
-    """init() was called on a simulator built with no allocation callback."""
+    """init() found that the simulator's allocator is not callable, or ``None``."""
 
 
 class AlreadyInitializedError(EonSimError):

@@ -1,4 +1,4 @@
-"""Blocking-probability accounting, console line formats and load sweeps.
+"""Blocking-probability accounting, console line formats and ``.dat`` tables.
 
 Console output uses three fixed, greppable line formats:
 
@@ -14,13 +14,9 @@ space separated, blocking with seven significant digits.
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
-import functools
 from dataclasses import dataclass, field
 
 from .allocation import ALLOCATED, Verdict
-from .errors import EonSimError
 from .traffic import Seeds
 
 
@@ -89,80 +85,6 @@ class SimulationReport:
             lines.append(f"bitrate={label} requests={requests} "
                          f"blocked={blocked} blocking={probability:.6e}")
         return lines
-
-
-def _sweep_worker(config, profile, algorithm_name: str,
-                  progress_every: int | None) -> SimulationReport:
-    # Local import: the engine module imports this one.
-    import sys
-
-    from .algorithms import ALGORITHMS
-    from .engine import Simulator
-
-    simulator = Simulator(dataclasses.replace(config, profile=profile),
-                          ALGORITHMS[algorithm_name],
-                          algorithm_name=algorithm_name,
-                          progress_every=progress_every,
-                          out=sys.stdout if progress_every else None)
-    simulator.init()
-    return simulator.run()
-
-
-def sweep_reports(config, lambdas, algorithm_name: str, *,
-                  workers: int = 1,
-                  progress_every: int | None = None) -> list[SimulationReport]:
-    """One independent simulation per arrival rate, same seeds each time.
-
-    Returns the report of every run, ordered by increasing load.  Every
-    run's profile is built before the first run starts, so a rate the
-    profile rejects raises :class:`ValueError` without running anything.
-    Each run's :class:`~eonsim.engine.Simulator` works on its own copy of
-    ``config.network``, so the runs share no mutable state, ``config`` is
-    left as it was, and ``workers > 1`` executes them in parallel processes
-    without changing the results; ``workers`` below 1 raises
-    :class:`ValueError`.
-    """
-    from .algorithms import ALGORITHMS
-
-    if algorithm_name not in ALGORITHMS:
-        raise EonSimError(
-            f"unknown algorithm {algorithm_name!r}; "
-            f"registered: {sorted(ALGORITHMS)}"
-        )
-    profiles = sorted((dataclasses.replace(config.profile, arrival_rate=float(lam))
-                       for lam in lambdas), key=lambda profile: profile.arrival_rate)
-    if not profiles:
-        raise ValueError("at least one arrival rate is required")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    run = functools.partial(_sweep_worker, config, algorithm_name=algorithm_name,
-                            progress_every=progress_every)
-    if workers > 1:
-        # Imported here: it pulls in multiprocessing, which serial runs never need.
-        from concurrent.futures import ProcessPoolExecutor
-        executor = ProcessPoolExecutor(max_workers=workers)
-    else:
-        executor = contextlib.nullcontext()
-    with executor as pool:
-        outcomes = pool.map(run, profiles) if pool else map(run, profiles)
-        reports = []
-        for profile in profiles:
-            try:
-                reports.append(next(outcomes))
-            except EonSimError as err:
-                raise EonSimError(f"sweep run at lambda={profile.arrival_rate:g} "
-                                  f"failed: {err}") from err
-    return reports
-
-
-def run_sweep(config, lambdas, algorithm_name: str, *,
-              workers: int = 1,
-              progress_every: int | None = None) -> list[tuple[float, float]]:
-    """:func:`sweep_reports` as ``(erlang, blocking_probability)`` pairs."""
-    return [(report.erlang, report.blocking_probability)
-            for report in sweep_reports(config, lambdas, algorithm_name,
-                                        workers=workers,
-                                        progress_every=progress_every)]
 
 
 def write_dat(results, path) -> None:

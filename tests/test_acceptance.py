@@ -19,7 +19,7 @@ from eonsim import (
     data,
     exact_free_block,
     first_free_block,
-    run_sweep,
+    sweep_reports,
     write_dat,
 )
 from eonsim.errors import AuditViolationError
@@ -210,9 +210,11 @@ def test_criterion_5_determinism(bundle, tmp_path):
             catalog=bundle["catalogs"]["mod"],
             profile=TrafficProfile(arrival_rate=18, departure_rate=10,
                                    goal_connections=10_000))
-        results = run_sweep(config, [18, 90], "FF")
+        reports = sweep_reports(config, [18, 90], eonsim.first_fit,
+                                algorithm_name="FF")
         path = tmp_path / name
-        write_dat(results, path)
+        write_dat([(report.erlang, report.blocking_probability)
+                   for report in reports], path)
         return path.read_bytes()
 
     def check():

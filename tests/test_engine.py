@@ -80,9 +80,10 @@ class TestInit:
     def test_missing_allocator(self, pair_config):
         with pytest.raises(TypeError):
             Simulator(pair_config())
-        sim = Simulator(pair_config(), None)
-        with pytest.raises(NoAllocatorSetError):
-            sim.init()
+        for allocator in (None, "FF"):
+            sim = Simulator(pair_config(), allocator)
+            with pytest.raises(NoAllocatorSetError, match=r"eonsim\.ALGORITHMS"):
+                sim.init()
 
     def test_config_is_frozen(self, pair_config):
         config = pair_config()
@@ -267,6 +268,35 @@ class TestAllocatorFaults:
         with pytest.raises(AuditViolationError, match="nothing staged"):
             sim.run()
         assert sim.report.accepted == 0
+
+    @pytest.mark.parametrize("start, stop", [(6.0, 8.0), (6, 8.0), (6.0, 8)])
+    def test_non_integer_bounds_abort_with_grids_unchanged(self, pair_config,
+                                                           start, stop):
+        # The fifth request stages an int range on one link, then the same
+        # slots with a non-int bound on the other, e.g. from a midpoint
+        # computed with "/" instead of "//".
+        seen = []
+
+        def midpoint_fit(ctx):
+            seen.append([link.occupancy for link in sim.config.network.links])
+            if len(seen) < 5:
+                return first_fit(ctx)
+            link_id = ctx.route_link_ids(0)[0]
+            ctx.alloc_slots(1 - link_id, 6, 8)
+            ctx.alloc_slots(link_id, start, stop)
+            seen.append(link_id)
+            return ALLOCATED
+
+        sim = Simulator(pair_config(goal=10), midpoint_fit)
+        sim.init()
+        with pytest.raises(AllocatorFaultError) as excinfo:
+            sim.run()
+        assert str(excinfo.value) == (
+            f"allocator 'midpoint_fit' staged [{start!r}, {stop!r}) on link "
+            f"{seen[-1]}: slot bounds must be int")
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        assert sim.report.accepted == 4
+        assert [link.occupancy for link in sim.config.network.links] == seen[-2]
 
     def test_commit_conflict_aborts(self, pair_net, pair_routes, one_slot_catalog):
         # every request claims slot 0 of link 0 and never departs in time

@@ -1,18 +1,26 @@
+import concurrent.futures
+import multiprocessing
+import pickle
+from functools import partial
+
 import pytest
 
 import eonsim
 from eonsim import (
     ALLOCATED,
     NOT_ALLOCATED,
+    SearchDirection,
     Seeds,
     SimulationReport,
     SimulatorConfig,
     TrafficProfile,
-    run_sweep,
+    first_fit,
+    first_last_fit,
+    sweep_reports,
     write_dat,
 )
-from eonsim.errors import EonSimError
-from eonsim.report import sweep_reports
+from eonsim.algorithms import first_free_block, intersection_grid, modulation_options
+from eonsim.errors import EonSimError, NoAllocatorSetError
 
 
 def make_report(**kwargs):
@@ -113,6 +121,35 @@ class TestWriteDat:
             write_dat([(1.8, 0.5)], tmp_path / "missing" / "out.dat")
 
 
+def last_fit(ctx):
+    """A user allocator: the highest free window, on the public grid calls."""
+    for route in range(ctx.route_count()):
+        occupied = intersection_grid(ctx, route)
+        slot_count = ctx.link_in_route(route, 0).slot_count
+        for option in modulation_options(ctx, route):
+            block = first_free_block(occupied, slot_count, ctx.request_slots(option),
+                                     SearchDirection.HIGH_TO_LOW)
+            if block is not None:
+                for link_id in ctx.route_link_ids(route):
+                    ctx.alloc_slots(link_id, block.start, block.stop)
+                return ALLOCATED
+    return NOT_ALLOCATED
+
+
+#: A lambda has no importable name, so it cannot be pickled to a worker.
+blocks_everything = lambda ctx: NOT_ALLOCATED  # noqa: E731
+
+
+def curve(reports):
+    return [(report.erlang, report.blocking_probability) for report in reports]
+
+
+def counts(reports):
+    """Everything a report holds but its wall-clock time."""
+    return [(report.algorithm, report.erlang, report.processed, report.accepted,
+             report.blocked, report.per_bitrate) for report in reports]
+
+
 class TestRunSweep:
     @pytest.fixture
     def base_config(self, pair_net, pair_routes, one_slot_catalog):
@@ -121,23 +158,29 @@ class TestRunSweep:
             profile=TrafficProfile(arrival_rate=3.0, departure_rate=10.0,
                                    goal_connections=400))
 
+    @pytest.fixture
+    def nsfnet_bpsk_config(self, nsfnet, nsfnet_routes, bpsk_catalog):
+        return SimulatorConfig(
+            network=nsfnet, routes=nsfnet_routes, catalog=bpsk_catalog,
+            profile=TrafficProfile(departure_rate=10.0, goal_connections=2000))
+
     def test_erlang_column_for_the_ten_load_points(self, base_config):
         lambdas = [18, 36, 54, 72, 90, 108, 126, 144, 162, 180]
-        results = run_sweep(base_config, lambdas, "FF")
-        assert [erlang for erlang, _ in results] == pytest.approx(
+        reports = sweep_reports(base_config, lambdas, first_fit)
+        assert [report.erlang for report in reports] == pytest.approx(
             [1.8, 3.6, 5.4, 7.2, 9.0, 10.8, 12.6, 14.4, 16.2, 18.0])
 
     def test_single_load_point(self, base_config):
-        results = run_sweep(base_config, [30.0], "FF")
-        assert len(results) == 1
-        assert results[0][0] == pytest.approx(3.0)
+        reports = sweep_reports(base_config, [30.0], first_fit)
+        assert len(reports) == 1
+        assert reports[0].erlang == pytest.approx(3.0)
 
     def test_identical_invocations_match(self, base_config):
-        assert run_sweep(base_config, [18, 90], "FF") == run_sweep(
-            base_config, [18, 90], "FF")
+        assert curve(sweep_reports(base_config, [18, 90], first_fit)) == curve(
+            sweep_reports(base_config, [18, 90], first_fit))
 
     def test_runs_do_not_disturb_the_base_network(self, base_config):
-        run_sweep(base_config, [60], "FF")
+        sweep_reports(base_config, [60], first_fit)
         assert base_config.network.all_grids_free()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -145,24 +188,76 @@ class TestRunSweep:
                                                            workers):
         base_config.network.links[0].occupy_slots(2, 5)
         before = [link.occupancy for link in base_config.network.links]
-        reports = sweep_reports(base_config, [18, 90], "FF", workers=workers)
+        reports = sweep_reports(base_config, [18, 90], first_fit, workers=workers)
         assert all(report.accepted for report in reports)
         assert [link.occupancy for link in base_config.network.links] == before
 
     def test_sweep_runs_on_the_configured_grids(self, base_config):
         for link in base_config.network.links:
             link.occupy_slots(0, 8)  # background occupancy fills every link
-        assert [blocking for _, blocking in run_sweep(
-            base_config, [18, 90], "FF")] == [1.0, 1.0]
+        assert [blocking for _, blocking in curve(sweep_reports(
+            base_config, [18, 90], first_fit))] == [1.0, 1.0]
 
     def test_parallel_workers_match_serial(self, base_config):
-        serial = run_sweep(base_config, [18, 90], "FF")
-        parallel = run_sweep(base_config, [18, 90], "FF", workers=2)
+        serial = curve(sweep_reports(base_config, [18, 90], first_fit))
+        parallel = curve(sweep_reports(base_config, [18, 90], first_fit, workers=2))
         assert serial == parallel
 
-    def test_unknown_algorithm(self, base_config):
-        with pytest.raises(EonSimError, match="unknown algorithm"):
-            run_sweep(base_config, [18], "XX")
+    def test_unknown_algorithm(self, base_config, capsys):
+        # A registry name is not an allocator: the first run's init() rejects
+        # it before any request, and the message says where the names are.
+        with pytest.raises(EonSimError, match=r"eonsim\.ALGORITHMS") as excinfo:
+            sweep_reports(base_config, [18, 90], "FF", progress_every=100)
+        assert isinstance(excinfo.value.__cause__, NoAllocatorSetError)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("allocator", [
+        last_fit, partial(first_last_fit, threshold_gbps=40)],
+        ids=["user-module-level", "partial"])
+    def test_any_picklable_allocator_runs_in_workers(self, nsfnet_bpsk_config,
+                                                     allocator):
+        serial = sweep_reports(nsfnet_bpsk_config, [900, 1500], allocator,
+                               algorithm_name="mine")
+        parallel = sweep_reports(nsfnet_bpsk_config, [900, 1500], allocator,
+                                 algorithm_name="mine", workers=2)
+        assert counts(serial) == counts(parallel)
+        assert [report.algorithm for report in serial] == ["mine", "mine"]
+        assert all(report.blocked for report in serial)
+        assert counts(serial) != counts(sweep_reports(
+            nsfnet_bpsk_config, [900, 1500], first_last_fit, algorithm_name="mine"))
+
+    def test_a_lambda_runs_serially_but_cannot_reach_workers(self, base_config):
+        reports = sweep_reports(base_config, [18, 90], blocks_everything)
+        assert [report.blocking_probability for report in reports] == [1.0, 1.0]
+        with pytest.raises(pickle.PicklingError):
+            sweep_reports(base_config, [18, 90], blocks_everything, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_has_at_most_one_process_per_load(self, base_config, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            """Stands in for the process pool and forks nothing."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, iterable):
+                return map(function, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        reports = sweep_reports(base_config, [18, 54, 90], first_fit, workers=8)
+        assert requested == [3]
+        assert curve(reports) == curve(sweep_reports(base_config, [18, 54, 90],
+                                                     first_fit))
+        sweep_reports(base_config, [18], first_fit, workers=8)
+        assert requested == [3]  # a single load runs in this process
 
     def test_failures_are_tagged_with_their_load(self, chain_net, one_slot_catalog):
         routes = eonsim.RouteSet()
@@ -171,7 +266,7 @@ class TestRunSweep:
             network=chain_net, routes=routes, catalog=one_slot_catalog,
             profile=TrafficProfile(goal_connections=100))
         with pytest.raises(EonSimError, match="lambda=30"):
-            run_sweep(config, [30], "FF")
+            sweep_reports(config, [30], first_fit)
 
     def test_parallel_failures_are_tagged_with_their_load(self, chain_net,
                                                           one_slot_catalog):
@@ -181,20 +276,20 @@ class TestRunSweep:
             network=chain_net, routes=routes, catalog=one_slot_catalog,
             profile=TrafficProfile(goal_connections=100))
         with pytest.raises(EonSimError, match="lambda=30"):
-            run_sweep(config, [30, 60], "FF", workers=2)
+            sweep_reports(config, [30, 60], first_fit, workers=2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_rate_fails_before_any_run(self, base_config, capsys, workers):
         with pytest.raises(ValueError, match="arrival rate .* got nan"):
-            sweep_reports(base_config, [18, float("nan"), 90], "FF",
+            sweep_reports(base_config, [18, float("nan"), 90], first_fit,
                           workers=workers, progress_every=100)
         assert capsys.readouterr().out == ""
 
     def test_empty_lambda_list(self, base_config):
         with pytest.raises(ValueError):
-            run_sweep(base_config, [], "FF")
+            sweep_reports(base_config, [], first_fit)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, base_config, workers):
         with pytest.raises(ValueError, match="workers"):
-            sweep_reports(base_config, [18], "FF", workers=workers)
+            sweep_reports(base_config, [18], first_fit, workers=workers)

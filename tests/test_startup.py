@@ -5,7 +5,8 @@ eonsim never loads numpy: importing, parsing, every simulation, the CLI and
 the five grid calls (``Link.occupancy``, ``LinkView.occupancy``,
 ``intersection_grid``, ``first_free_block`` and ``exact_free_block``, all on
 ``int`` bitmasks) need only the standard library.  The process pool is
-needed only by ``sweep_reports(workers > 1)`` and is imported on first use.
+needed only by ``sweep_reports`` with more than one worker and more than one
+load, and is imported on first use.
 
 Each check runs in a new interpreter, because this test process has long
 since imported eonsim and whatever pytest loads.  The hidden-numpy guard sets
@@ -80,22 +81,24 @@ def test_parse_and_run_load_no_heavy_module():
 
 
 def test_serial_cli_run_loads_no_heavy_module(tmp_path):
-    out = tmp_path / "run.dat"
-    result = run_fresh("""
-        import contextlib, io
-        from eonsim import data
-        from eonsim.cli import main
+    # One load runs in this process whatever --workers asks for.
+    for workers in ("1", "4"):
+        out = tmp_path / f"run{workers}.dat"
+        result = run_fresh("""
+            import contextlib, io
+            from eonsim import data
+            from eonsim.cli import main
 
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["--network", str(data.data_path("nsfnet_network.json")),
-                         "--routes", str(data.data_path("nsfnet_routes_k3.json")),
-                         "--algorithm", "FF", "--goal", "200", "--lambda", "18",
-                         "--workers", "1", "--out", sys.argv[1]])
-        result = {"code": code, "loaded": loaded()}
-    """, str(out))
-    assert result["code"] == 0
-    assert out.read_text().startswith("1.8 ")
-    assert result["loaded"] == []
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--network", str(data.data_path("nsfnet_network.json")),
+                             "--routes", str(data.data_path("nsfnet_routes_k3.json")),
+                             "--algorithm", "FF", "--goal", "200", "--lambda", "18",
+                             "--workers", sys.argv[2], "--out", sys.argv[1]])
+            result = {"code": code, "loaded": loaded()}
+        """, str(out), workers)
+        assert result["code"] == 0, workers
+        assert out.read_text().startswith("1.8 "), workers
+        assert result["loaded"] == [], workers
 
 
 #: The five grid calls on an 8-slot pair network whose link 0 holds slots
