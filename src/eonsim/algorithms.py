@@ -30,11 +30,9 @@ from .allocation import (
     ALLOCATED,
     NOT_ALLOCATED,
     AllocationContext,
-    RoutePlan,
     Verdict,
     _shift_schedule,
 )
-from .errors import HeterogeneousSlotCountsError
 
 
 class SearchDirection(Enum):
@@ -79,15 +77,10 @@ def _lowest(starts: int) -> int:
     return (starts & -starts).bit_length() - 1
 
 
-def _route_occupied(route: int, plan: RoutePlan, links) -> int:
-    """Joint occupancy mask of the route; ``links`` indexed by id."""
-    if not plan.all_slots:
-        counts = sorted({links[lid].slot_count for lid in plan.link_ids})
-        raise HeterogeneousSlotCountsError(
-            f"route {route} mixes links with slot counts {counts}"
-        )
+def _route_occupied(link_ids: tuple[int, ...], links) -> int:
+    """Joint occupancy mask of a route; ``links`` indexed by id."""
     occupied = 0
-    for lid in plan.link_ids:
+    for lid in link_ids:
         occupied |= links[lid]._mask
     return occupied
 
@@ -99,8 +92,7 @@ def intersection_grid(ctx: AllocationContext, route: int) -> int:
 
     Bit i is set when slot i is occupied on any link of the route.
     """
-    ctx.route_link_ids(route)  # rejects an out-of-range route index
-    return _route_occupied(route, ctx._search_plan()[route], ctx._network.links)
+    return _route_occupied(ctx.route_link_ids(route), ctx._network.links)
 
 
 def _free_mask(grid: int, slot_count: int) -> int:
@@ -168,10 +160,10 @@ def _search_routes(ctx: AllocationContext, direction: SearchDirection,
                    exact_first: bool) -> Verdict:
     high_to_low = direction is SearchDirection.HIGH_TO_LOW
     links = ctx._network.links
-    for route, plan in enumerate(ctx._search_plan()):
+    for plan in ctx._search_plan():
         if not plan.schedules:
             continue
-        free = plan.all_slots ^ _route_occupied(route, plan, links)
+        free = plan.all_slots ^ _route_occupied(plan.link_ids, links)
         for size, steps in plan.schedules:
             windows = _window_starts(free, steps)
             if not windows:

@@ -159,8 +159,7 @@ class RoutePlan(NamedTuple):
     #: ``(width, _shift_schedule(width))`` per distinct slot width of the
     #: options whose reach covers the route, in option trial order.
     schedules: tuple[tuple[int, tuple[int, ...]], ...]
-    #: Mask with every slot of the route's grid set; 0 when the route's
-    #: links differ in slot count.
+    #: Mask with every slot of the route's grid set.
     all_slots: int
 
 
@@ -168,9 +167,9 @@ def request_plan(network: Network, routes: tuple[Route, ...],
                  request: BitRateEntry) -> tuple[RoutePlan, ...]:
     """One :class:`RoutePlan` per candidate route, in retry order.
 
-    A pure function of the routes, the bitrate entry and the slot counts of
-    the routes' links, so the engine builds it once per (source,
-    destination, bitrate) in a run and reuses it.
+    A pure function of the routes, the bitrate entry and the network's slot
+    count, so the engine builds it once per (source, destination, bitrate)
+    in a run and reuses it.
     """
     plans = []
     for route in routes:
@@ -179,8 +178,7 @@ def request_plan(network: Network, routes: tuple[Route, ...],
             if (option.reach_km >= route.length_km
                     and option.slot_count not in widths):
                 widths.append(option.slot_count)
-        counts = {network.links[lid].slot_count for lid in route.link_ids}
-        all_slots = (1 << counts.pop()) - 1 if len(counts) == 1 else 0
+        all_slots = (1 << network.links[route.link_ids[0]].slot_count) - 1
         plans.append(RoutePlan(route.link_ids, _width_schedules(tuple(widths)),
                                all_slots))
     return tuple(plans)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
+import io
 import itertools
 import sys
 import time as _time
@@ -139,8 +140,7 @@ class Simulator:
             own._mask = given._mask  # keeps any background occupancy
         self._config = replace(config, network=network)
         self._allocator = allocator
-        self._algorithm_name = algorithm_name or getattr(
-            allocator, "__name__", "unnamed")
+        self._algorithm_name = algorithm_name or _allocator_name(allocator)
         self._progress_every = progress_every
         self._out = out
         self._event_listener = event_listener
@@ -197,6 +197,11 @@ class Simulator:
                 "the network needs at least 2 nodes and 1 link")
         if config.routes.pair_count == 0:
             raise InvalidConfigError("the route set is empty")
+        link_id, pair = config.routes._highest_link
+        if link_id >= len(config.network.links):
+            raise InvalidConfigError(
+                f"a route of pair {pair} uses link {link_id}, but network "
+                f"{config.network.name!r} has links 0..{len(config.network.links) - 1}")
         if len(config.catalog) == 0:
             raise InvalidConfigError("the bitrate catalog is empty")
         self._streams = RngStreams(config.seeds)
@@ -335,6 +340,21 @@ class Simulator:
         return report
 
 
+def _allocator_name(allocator) -> str:
+    """``__name__``, or for a partial its function and bound arguments.
+
+    ``partial(first_last_fit, threshold_gbps=40)`` is named
+    ``first_last_fit(threshold_gbps=40)``; whitespace is dropped so that the
+    name stays one token of the header line.
+    """
+    if isinstance(allocator, functools.partial):
+        bound = [repr(arg) for arg in allocator.args] + [
+            f"{key}={value!r}" for key, value in allocator.keywords.items()]
+        name = f"{_allocator_name(allocator.func)}({','.join(bound)})"
+        return "".join(name.split())
+    return getattr(allocator, "__name__", "unnamed")
+
+
 def _time_in_past(at: float, clock: float) -> TimeInPastError:
     return TimeInPastError(f"event at t={at} is before the clock t={clock}")
 
@@ -348,12 +368,20 @@ def _non_integer_bound(algorithm_name: str, staged) -> AllocatorFaultError:
                                f"{stop!r}) on link {link_id}: slot bounds must be int")
 
 
-def _sweep_run(config, allocator, algorithm_name, progress_every, profile):
+def _sweep_run(config, allocator, algorithm_name, progress_every, pooled, profile):
+    """One sweep run: its report and, from a pool, its console lines.
+
+    A serial run prints to ``sys.stdout`` as it goes; a pooled run collects
+    its lines for the caller to print, so runs never share a stream.
+    """
+    out = None
+    if progress_every:
+        out = io.StringIO() if pooled else sys.stdout
     simulator = Simulator(replace(config, profile=profile), allocator,
                           algorithm_name=algorithm_name, progress_every=progress_every,
-                          out=sys.stdout if progress_every else None)
+                          out=out)
     simulator.init()
-    return simulator.run()
+    return simulator.run(), out.getvalue() if pooled and out else ""
 
 
 def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
@@ -372,6 +400,11 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
     results.  The allocator then reaches the workers by pickle, by reference:
     a module-level function or a ``functools.partial`` of one works, a lambda
     does not, and module-level state it keeps changes in the workers only.
+
+    With ``progress_every``, each run's header, progress and summary lines go
+    to ``sys.stdout`` as one block per run in load order: a serial run prints
+    them live, a pooled run once it is done.  An :class:`EonSimError` of a run
+    is re-raised as the same class, prefixed with the run's rate.
     """
     profiles = sorted((replace(config.profile, arrival_rate=float(lam))
                        for lam in lambdas), key=lambda profile: profile.arrival_rate)
@@ -381,7 +414,7 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(profiles))
     run = functools.partial(_sweep_run, config, allocator, algorithm_name,
-                            progress_every)
+                            progress_every, workers > 1)
     if workers > 1:
         # Imported here: it pulls in multiprocessing, which serial runs never need.
         from concurrent.futures import ProcessPoolExecutor
@@ -393,8 +426,10 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
         reports = []
         for profile in profiles:
             try:
-                reports.append(next(outcomes))
+                report, lines = next(outcomes)
             except EonSimError as err:
-                raise EonSimError(f"sweep run at lambda={profile.arrival_rate:g} "
-                                  f"failed: {err}") from err
+                raise type(err)(f"sweep run at lambda={profile.arrival_rate:g} "
+                                f"failed: {err}") from err
+            sys.stdout.write(lines)
+            reports.append(report)
     return reports

@@ -28,10 +28,6 @@ class NoSuchLinkError(EonSimError):
     """No directed link exists for the requested endpoints or id."""
 
 
-class HeterogeneousSlotCountsError(EonSimError):
-    """Links of one route disagree on grid size; no joint grid exists."""
-
-
 # -- traffic generation --------------------------------------------------------
 
 class NonPositiveRateError(EonSimError):

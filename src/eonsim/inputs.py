@@ -28,12 +28,13 @@ escapes.
 
 Each rule about values has one owner, a model constructor that raises
 :class:`ValueError`: ``Link`` (self-loop, slots, finite length),
-``Network`` (dense ids, known endpoints, one link per directed pair),
-``RouteSet.add_route`` (path starts at src, ends at dst, links chain, no
-link twice), ``ModulationOption`` (slots, finite reach), ``BitRateEntry``
-(finite bitrate, at least one option) and ``BitRateCatalog`` (no two
-labels with the same bitrate); a missing hop is a ``NoSuchLinkError`` from
-``Network.link_by_endpoints``.  The parsers check only the document's shape
+``Network`` (dense ids, known endpoints, one link per directed pair, one
+slot count for all links), ``RouteSet.add_route`` (path starts at src,
+ends at dst, links chain, no link twice), ``ModulationOption`` (slots,
+finite reach), ``BitRateEntry`` (finite bitrate, at least one option) and
+``BitRateCatalog`` (no two labels with the same bitrate); a missing hop is
+a ``NoSuchLinkError`` from ``Network.link_by_endpoints``.  The parsers
+check only the document's shape
 (:class:`~eonsim.errors.SchemaError`; a key repeated within one JSON object
 is one, located at that object) and turn a model's rejection into a
 :class:`~eonsim.errors.ValidationError` that starts with the JSON path:

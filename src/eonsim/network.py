@@ -4,9 +4,13 @@ A link owns the occupancy grid of its frequency slots as a Python ``int``
 bitmask: bit ``i`` is set when slot ``i`` is occupied.  Every range check,
 occupy and release is then one mask operation, and the joint grid of a
 route is the OR of its links' masks.  All slot ranges in this package are
-half-open ``[start, stop)`` with 0-based indices.  The grid is only ever
-mutated through :meth:`Link.occupy_slots` / :meth:`Link.release_slots`,
-both of which validate first and leave the grid untouched when they fail.
+half-open ``[start, stop)`` with 0-based indices.  :meth:`Link.occupy_slots`
+and :meth:`Link.release_slots` validate first and leave the grid untouched
+when they fail.  Two package-internal writers set the mask directly:
+:meth:`~eonsim.allocation.AllocationContext.commit_staged` sets the staged
+bits once every staged range has been checked free, and
+:class:`~eonsim.engine.Simulator` copies the caller's masks into its own
+copy of the network when it is built.
 :attr:`Link.occupancy` hands out that same ``int``, the package's one grid
 type; slot ``i`` is occupied when ``occupancy >> i & 1``.
 """
@@ -114,7 +118,9 @@ class Network:
 
     At most one directed link may exist per ordered node pair; an undirected
     topology is expressed as two directed links.  Node and link ids are both
-    dense and 0-based, so links are indexable by id.
+    dense and 0-based, so links are indexable by id.  Every link has the same
+    slot count: a connection holds the same slot indices on each link of its
+    route, so one grid size serves every route.
     """
 
     def __init__(self, name: str, nodes: Sequence[Node], links: Sequence[Link]):
@@ -139,6 +145,11 @@ class Network:
         self.name = name
         self.nodes = tuple(sorted(nodes, key=lambda n: n.id))
         self.links = tuple(sorted(links, key=lambda l: l.id))
+        for link in self.links[1:]:
+            if link.slot_count != self.links[0].slot_count:
+                raise ValueError(
+                    f"link {link.id} has {link.slot_count} slots but link 0 has "
+                    f"{self.links[0].slot_count}: all links need one slot count")
         self.adjacency = adjacency
 
     @classmethod
@@ -204,6 +215,9 @@ class RouteSet:
 
     def __init__(self):
         self._routes: dict[tuple[int, int], list[Route]] = {}
+        # (largest link id of any route, a pair whose route uses it), so a
+        # simulator checks the set against its network in constant time.
+        self._highest_link: tuple[int, tuple[int, int]] | None = None
 
     def add_route(self, network: Network, src: int, dst: int,
                   link_ids: Sequence[int]) -> Route:
@@ -236,8 +250,14 @@ class RouteSet:
                 f"route for ({src}, {dst}) uses link {repeated[0]} more than once"
             )
         route = Route(tuple(link_ids), sum(l.length_km for l in links))
-        self._routes.setdefault((src, dst), []).append(route)
+        self._append((src, dst), route)
         return route
+
+    def _append(self, pair: tuple[int, int], route: Route) -> None:
+        self._routes.setdefault(pair, []).append(route)
+        top = max(route.link_ids)
+        if self._highest_link is None or top > self._highest_link[0]:
+            self._highest_link = (top, pair)
 
     def add_node_path(self, network: Network, node_path: Sequence[int]) -> Route:
         """Append a route given as a node-id sequence, resolving each hop."""
@@ -263,5 +283,6 @@ class RouteSet:
             raise ValueError(f"max_routes must be >= 1, got {max_routes}")
         clone = RouteSet()
         for pair, routes in self._routes.items():
-            clone._routes[pair] = list(routes[:max_routes])
+            for route in routes[:max_routes]:
+                clone._append(pair, route)
         return clone

@@ -19,7 +19,6 @@ from eonsim import (
     intersection_grid,
     modulation_options,
 )
-from eonsim.errors import HeterogeneousSlotCountsError
 
 from conftest import mask_of
 
@@ -111,14 +110,19 @@ class TestIntersectionGrid:
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0])
         assert intersection_grid(ctx, 0) == 0
 
-    def test_heterogeneous_slot_counts(self, one_slot_catalog):
-        net = eonsim.Network.build("mixed", 3,
-                                   [(0, 1, 1.0, 8), (1, 2, 1.0, 16)])
-        routes = eonsim.RouteSet()
-        routes.add_node_path(net, [0, 1, 2])
-        ctx = make_ctx(net, routes, 0, 2, one_slot_catalog[0])
-        with pytest.raises(HeterogeneousSlotCountsError):
-            intersection_grid(ctx, 0)
+    def test_heterogeneous_slot_counts(self):
+        # A route cannot mix grid sizes: the network that would hold it is
+        # rejected when it is built.
+        with pytest.raises(ValueError, match="link 1 has 16 slots but link 0 "
+                                             "has 8: all links need one slot count"):
+            eonsim.Network.build("mixed", 3, [(0, 1, 1.0, 8), (1, 2, 1.0, 16)])
+
+    def test_does_not_build_the_search_plan(self, chain_net, chain_routes,
+                                            one_slot_catalog):
+        chain_net.links[2].occupy_slots(5, 7)
+        ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0])
+        assert intersection_grid(ctx, 0) == grid(8, {5, 6})
+        assert ctx._plan is None
 
 
 class TestFirstFreeBlock:
@@ -369,14 +373,12 @@ class TestSearchAgainstBruteForce:
                         assert verdict is ALLOCATED
                         assert set(ctx.staged) == expected
 
-    def test_mixed_slot_counts_raise_when_searched(self, one_slot_catalog):
-        net = eonsim.Network.build("mixed", 3,
-                                   [(0, 1, 1.0, 8), (1, 2, 1.0, 16)])
-        routes = eonsim.RouteSet()
-        routes.add_node_path(net, [0, 1, 2])
-        ctx = make_ctx(net, routes, 0, 2, one_slot_catalog[0])
-        with pytest.raises(HeterogeneousSlotCountsError, match=r"\[8, 16\]"):
-            first_fit(ctx)
+    def test_mixed_slot_counts_raise_when_searched(self):
+        # No search ever meets a route of mixed grid sizes: the network is
+        # rejected first, naming both links and both counts.
+        with pytest.raises(ValueError, match="link 2 has 16 slots but link 0 has 8"):
+            eonsim.Network.build("mixed", 3, [(0, 1, 1.0, 8), (1, 0, 1.0, 8),
+                                              (1, 2, 1.0, 16)])
 
 
     @pytest.mark.parametrize("n", GRID_SIZES)

@@ -22,7 +22,6 @@ from eonsim.errors import (
     AlreadyOccupiedError,
     AuditViolationError,
     CommitConflictError,
-    HeterogeneousSlotCountsError,
     InvalidConfigError,
     MissingRoutesError,
     NoAllocatorSetError,
@@ -95,6 +94,42 @@ class TestInit:
                                  catalog=one_slot_catalog)
         with pytest.raises(InvalidConfigError):
             Simulator(config, first_fit).init()
+
+    def test_route_set_naming_a_missing_link_rejected(self, nsfnet_routes,
+                                                      table_catalog):
+        # The NSFNet routes use links up to 41; a 14-node ring has 28.
+        ring = eonsim.Network.build("ring", 14, [
+            (a, b, 100.0, 320) for i in range(14)
+            for a, b in ((i, (i + 1) % 14), ((i + 1) % 14, i))])
+        sim = Simulator(SimulatorConfig(network=ring, routes=nsfnet_routes,
+                                        catalog=table_catalog), first_fit)
+        with pytest.raises(InvalidConfigError, match=r"a route of pair \(0, 12\) "
+                           r"uses link 41, but network 'ring' has links 0\.\.27"):
+            sim.init()
+        with pytest.raises(NotInitializedError):
+            sim.run()
+
+    def test_truncated_route_set_is_checked_by_the_links_it_keeps(
+            self, one_slot_catalog):
+        triangle = eonsim.Network.build("triangle", 3, [
+            (0, 1, 1.0, 8), (1, 0, 1.0, 8), (0, 2, 1.0, 8),
+            (2, 0, 1.0, 8), (1, 2, 1.0, 8), (2, 1, 1.0, 8)])
+        routes = eonsim.RouteSet()
+        for path in ([0, 1], [1, 0], [0, 2], [0, 1, 2], [2, 0]):
+            routes.add_node_path(triangle, path)
+        # Links 0-3 of the triangle, without the link 1 -> 2 that the second
+        # route of (0, 2) uses.
+        star = eonsim.Network.build("star", 3, [
+            (0, 1, 1.0, 8), (1, 0, 1.0, 8), (0, 2, 1.0, 8), (2, 0, 1.0, 8)])
+
+        def init(route_set):
+            Simulator(SimulatorConfig(network=star, routes=route_set,
+                                      catalog=one_slot_catalog), first_fit).init()
+
+        with pytest.raises(InvalidConfigError, match=r"a route of pair \(0, 2\) "
+                           r"uses link 4, but network 'star' has links 0\.\.3"):
+            init(routes)
+        init(routes.truncated(1))
 
     def test_empty_catalog_rejected(self, pair_net, pair_routes):
         config = SimulatorConfig(network=pair_net, routes=pair_routes,
@@ -756,7 +791,7 @@ class TestRunPlans:
     def test_other_slot_counts_get_their_own_plans(self, monkeypatch):
         narrow = self.triangle(8)
         routes = self.direct_routes(narrow)
-        routes.add_node_path(narrow, [0, 1, 2])  # 8 then 16 slots on `mixed`
+        routes.add_node_path(narrow, [0, 1, 2])
         catalog = eonsim.BitRateCatalog([eonsim.BitRateEntry(
             400.0, "400", (eonsim.ModulationOption("BPSK", 1, 1e9),))])
         calls = self.count_plans(monkeypatch)
@@ -774,14 +809,11 @@ class TestRunPlans:
         assert 15 in top_starts(self.triangle(16))
         assert len(calls) > built
 
-        mixed = eonsim.Network.build("mixed", 3, [
-            (0, 1, 100.0, 8), (1, 0, 100.0, 8), (0, 2, 100.0, 8),
-            (2, 0, 100.0, 8), (1, 2, 100.0, 16), (2, 1, 100.0, 8)])
-        mixed.links[2].occupy_slots(0, 8)  # only the mixed route is left for (0, 2)
-        with pytest.raises(AllocatorFaultError) as excinfo:
-            self.run(mixed, routes, catalog, goal=300, lam=3.0)
-        assert isinstance(excinfo.value.__cause__, HeterogeneousSlotCountsError)
-        assert "route 1 mixes links with slot counts [8, 16]" in str(excinfo.value)
+        # A network whose links differ in slot count never reaches a run.
+        with pytest.raises(ValueError, match="link 4 has 16 slots but link 0 has 8"):
+            eonsim.Network.build("mixed", 3, [
+                (0, 1, 100.0, 8), (1, 0, 100.0, 8), (0, 2, 100.0, 8),
+                (2, 0, 100.0, 8), (1, 2, 100.0, 16), (2, 1, 100.0, 8)])
 
     def test_plans_die_with_route_set_and_catalog(self):
         template = eonsim.data.load_nsfnet()

@@ -243,6 +243,8 @@ class TestLocatedModelRules:
         ("network", doc(links=SMALL_NETWORK["links"] + [
             {"id": 4, "src": 0, "dst": 1, "length": 2, "slots": 8}]),
          "network", ["duplicate", "(0 -> 1)", "link 4", "link 0"]),
+        ("network", _with_link(2, slots=16), "network",
+         ["link 2 has 16 slots", "link 0 has 8"]),
         ("routes", json.dumps({"name": "x", "routes": [
             {"src": 0, "dst": 2, "paths": [[0, 1, 2], [0, 1]]}]}),
          "routes[0].paths[1]", ["ends at node 1"]),
@@ -260,9 +262,9 @@ class TestLocatedModelRules:
          "bit_rates", ["'10'", "'10.0'", "10 Gbps"]),
     ], ids=["self-loop", "negative-length", "nan-length", "infinite-length",
             "sparse-node-ids", "sparse-link-ids", "unknown-endpoint",
-            "duplicate-pair", "path-ends-elsewhere", "zero-bitrate",
-            "nan-bitrate", "infinite-bitrate", "zero-reach", "nan-reach",
-            "colliding-bitrate-labels"])
+            "duplicate-pair", "mixed-slot-counts", "path-ends-elsewhere",
+            "zero-bitrate", "nan-bitrate", "infinite-bitrate", "zero-reach",
+            "nan-reach", "colliding-bitrate-labels"])
     def test_error_starts_with_its_json_path(self, kind, text, prefix, fragments):
         with pytest.raises(ValidationError) as excinfo:
             if kind == "network":

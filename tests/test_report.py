@@ -1,6 +1,7 @@
 import concurrent.futures
 import multiprocessing
 import pickle
+import re
 from functools import partial
 
 import pytest
@@ -14,13 +15,14 @@ from eonsim import (
     SimulationReport,
     SimulatorConfig,
     TrafficProfile,
+    exact_fit,
     first_fit,
     first_last_fit,
     sweep_reports,
     write_dat,
 )
 from eonsim.algorithms import first_free_block, intersection_grid, modulation_options
-from eonsim.errors import EonSimError, NoAllocatorSetError
+from eonsim.errors import AllocatorFaultError, EonSimError, NoAllocatorSetError
 
 
 def make_report(**kwargs):
@@ -136,6 +138,10 @@ def last_fit(ctx):
     return NOT_ALLOCATED
 
 
+def raises_on_every_request(ctx):
+    raise RuntimeError("no placement today")
+
+
 #: A lambda has no importable name, so it cannot be pickled to a worker.
 blocks_everything = lambda ctx: NOT_ALLOCATED  # noqa: E731
 
@@ -206,10 +212,46 @@ class TestRunSweep:
     def test_unknown_algorithm(self, base_config, capsys):
         # A registry name is not an allocator: the first run's init() rejects
         # it before any request, and the message says where the names are.
-        with pytest.raises(EonSimError, match=r"eonsim\.ALGORITHMS") as excinfo:
+        with pytest.raises(NoAllocatorSetError, match=r"eonsim\.ALGORITHMS"):
             sweep_reports(base_config, [18, 90], "FF", progress_every=100)
-        assert isinstance(excinfo.value.__cause__, NoAllocatorSetError)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_run_keeps_its_error_class(self, base_config, workers):
+        with pytest.raises(AllocatorFaultError) as excinfo:
+            sweep_reports(base_config, [18, 90], raises_on_every_request,
+                          workers=workers)
+        assert str(excinfo.value).startswith(
+            "sweep run at lambda=18 failed: allocator 'raises_on_every_request' "
+            "raised RuntimeError: no placement today")
+        assert isinstance(excinfo.value.__cause__, AllocatorFaultError)
+
+    def test_pooled_console_equals_serial_console(self, nsfnet_bpsk_config,
+                                                  capsys):
+        def console(workers):
+            sweep_reports(nsfnet_bpsk_config, [1500, 3000, 180], exact_fit,
+                          algorithm_name="EF", workers=workers,
+                          progress_every=100)
+            return re.sub(r"wall_seconds=\S+", "wall_seconds=",
+                          capsys.readouterr().out)
+
+        serial = console(1)
+        assert serial.count("# eonsim algorithm=EF") == 3
+        assert len(serial.splitlines()) == 3 * (1 + 2000 // 100 + 1)
+        assert console(2) == serial
+
+    def test_a_partial_is_named_after_its_function_and_arguments(
+            self, base_config, capsys):
+        allocator = partial(first_last_fit, threshold_gbps=40)
+        reports = sweep_reports(base_config, [18], allocator, progress_every=400)
+        assert reports[0].algorithm == "first_last_fit(threshold_gbps=40)"
+        assert capsys.readouterr().out.startswith(
+            "# eonsim algorithm=first_last_fit(threshold_gbps=40) lambda=18 ")
+        sim = eonsim.Simulator(base_config, partial(first_fit, spare=(1, 2)))
+        sim.init()
+        assert sim.report.algorithm == "first_fit(spare=(1,2))"  # no whitespace
+        assert sweep_reports(base_config, [18], allocator,
+                             algorithm_name="FLF40")[0].algorithm == "FLF40"
 
     @pytest.mark.parametrize("allocator", [
         last_fit, partial(first_last_fit, threshold_gbps=40)],
