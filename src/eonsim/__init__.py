@@ -52,11 +52,8 @@ from .inputs import (
     parse_bit_rates,
     parse_network,
     parse_routes,
-    serialize_bit_rates,
-    serialize_network,
-    serialize_routes,
 )
-from .network import Link, Network, Node, Route, RouteSet
+from .network import Link, Network, Route, RouteSet
 from .report import SimulationReport, write_dat
 from .traffic import (
     BitRateCatalog,
@@ -88,7 +85,6 @@ __all__ = [
     "ModulationOption",
     "NOT_ALLOCATED",
     "Network",
-    "Node",
     "RngStreams",
     "Route",
     "RouteSet",
@@ -116,9 +112,6 @@ __all__ = [
     "parse_routes",
     "sample_bitrate",
     "sample_src_dst",
-    "serialize_bit_rates",
-    "serialize_network",
-    "serialize_routes",
     "sweep_reports",
     "uniform_index",
     "write_dat",

@@ -48,10 +48,7 @@ from .errors import (
     AlreadyOccupiedError,
     AuditViolationError,
     CommitConflictError,
-    LinkIndexOutOfRangeError,
-    OptionIndexOutOfRangeError,
     OutOfBoundsError,
-    RouteIndexOutOfRangeError,
     StagedOverlapError,
 )
 from .network import Link, Network, Route
@@ -111,14 +108,6 @@ class LinkView:
         immutable, so the value does not follow later changes.
         """
         return self._link.occupancy
-
-    def is_slot_occupied(self, slot: int) -> bool:
-        if not 0 <= slot < self._link.slot_count:
-            raise OutOfBoundsError(
-                f"slot {slot} outside the {self._link.slot_count}-slot grid "
-                f"of link {self._link.id}"
-            )
-        return not self._link.is_range_free(slot, slot + 1)
 
     def is_range_free(self, start: int, stop: int) -> bool:
         return self._link.is_range_free(start, stop)
@@ -220,7 +209,7 @@ class AllocationContext:
 
     def _route(self, route: int) -> Route:
         if not 0 <= route < len(self._routes):
-            raise RouteIndexOutOfRangeError(
+            raise OutOfBoundsError(
                 f"route index {route} out of range [0, {len(self._routes)})"
             )
         return self._routes[route]
@@ -235,7 +224,7 @@ class AllocationContext:
         """Read-only view of the ``link``-th link of the ``route``-th route."""
         link_ids = self._route(route).link_ids
         if not 0 <= link < len(link_ids):
-            raise LinkIndexOutOfRangeError(
+            raise OutOfBoundsError(
                 f"link index {link} out of range [0, {len(link_ids)}) "
                 f"in route {route}"
             )
@@ -259,7 +248,7 @@ class AllocationContext:
 
     def _option(self, option: int):
         if not 0 <= option < len(self._request.options):
-            raise OptionIndexOutOfRangeError(
+            raise OutOfBoundsError(
                 f"option index {option} out of range "
                 f"[0, {len(self._request.options)})"
             )

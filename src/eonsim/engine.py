@@ -43,7 +43,6 @@ from .errors import (
     AlreadyInitializedError,
     EonSimError,
     InvalidConfigError,
-    MissingRoutesError,
     NoAllocatorSetError,
     NotInitializedError,
     RunAbortedError,
@@ -284,7 +283,7 @@ class Simulator:
                 if planned is None:
                     routes = config.routes.routes_for(src, dst)
                     if not routes:
-                        raise MissingRoutesError(
+                        raise InvalidConfigError(
                             f"no candidate routes for pair ({src}, {dst})")
                     entry = catalog[index]
                     planned = (routes, request_plan(network, routes, entry), entry)
@@ -372,7 +371,8 @@ def _sweep_run(config, allocator, algorithm_name, progress_every, pooled, profil
     """One sweep run: its report and, from a pool, its console lines.
 
     A serial run prints to ``sys.stdout`` as it goes; a pooled run collects
-    its lines for the caller to print, so runs never share a stream.
+    its lines for the caller to print, so runs never share a stream.  A
+    failed pooled run's lines travel back with its error as ``console_lines``.
     """
     out = None
     if progress_every:
@@ -380,8 +380,14 @@ def _sweep_run(config, allocator, algorithm_name, progress_every, pooled, profil
     simulator = Simulator(replace(config, profile=profile), allocator,
                           algorithm_name=algorithm_name, progress_every=progress_every,
                           out=out)
-    simulator.init()
-    return simulator.run(), out.getvalue() if pooled and out else ""
+    try:
+        simulator.init()
+        report = simulator.run()
+    except EonSimError as err:
+        if pooled and out:
+            err.console_lines = out.getvalue()
+        raise
+    return report, out.getvalue() if pooled and out else ""
 
 
 def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
@@ -404,7 +410,8 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
     With ``progress_every``, each run's header, progress and summary lines go
     to ``sys.stdout`` as one block per run in load order: a serial run prints
     them live, a pooled run once it is done.  An :class:`EonSimError` of a run
-    is re-raised as the same class, prefixed with the run's rate.
+    is re-raised as the same class, prefixed with the run's rate, after the
+    lines that run printed; later runs print nothing.
     """
     profiles = sorted((replace(config.profile, arrival_rate=float(lam))
                        for lam in lambdas), key=lambda profile: profile.arrival_rate)
@@ -428,6 +435,7 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
             try:
                 report, lines = next(outcomes)
             except EonSimError as err:
+                sys.stdout.write(getattr(err, "console_lines", ""))
                 raise type(err)(f"sweep run at lambda={profile.arrival_rate:g} "
                                 f"failed: {err}") from err
             sys.stdout.write(lines)

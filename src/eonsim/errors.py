@@ -1,8 +1,9 @@
 """Exception types raised across the package.
 
 Every error the library signals deliberately derives from :class:`EonSimError`,
-so callers can catch the whole family with one clause while tests and
-algorithms can still distinguish individual failure modes.
+so callers can catch the whole family with one clause; a bad argument to a
+model constructor or a traffic sampler is a built-in :class:`ValueError`.
+There is one class per failure a caller handles differently.
 """
 
 
@@ -13,7 +14,7 @@ class EonSimError(Exception):
 # -- slot grids and topology --------------------------------------------------
 
 class OutOfBoundsError(EonSimError):
-    """A slot range falls outside a link's grid."""
+    """A slot range falls outside a link's grid, or an index outside its range."""
 
 
 class AlreadyOccupiedError(EonSimError):
@@ -28,36 +29,7 @@ class NoSuchLinkError(EonSimError):
     """No directed link exists for the requested endpoints or id."""
 
 
-# -- traffic generation --------------------------------------------------------
-
-class NonPositiveRateError(EonSimError):
-    """An exponential rate parameter must be finite and strictly positive.
-
-    Raised for zero, negative, infinite and NaN rates.
-    """
-
-
-class DegenerateNetworkError(EonSimError):
-    """Source/destination sampling needs at least two nodes."""
-
-
-class EmptyCatalogError(EonSimError):
-    """Bitrate sampling needs a non-empty catalog."""
-
-
 # -- allocation context --------------------------------------------------------
-
-class RouteIndexOutOfRangeError(EonSimError):
-    """Route position outside the candidate list of the current request."""
-
-
-class LinkIndexOutOfRangeError(EonSimError):
-    """Link position outside the chosen route."""
-
-
-class OptionIndexOutOfRangeError(EonSimError):
-    """Modulation option position outside the sampled bitrate entry."""
-
 
 class StagedOverlapError(EonSimError):
     """A staged slot range overlaps an earlier staged range on the same link."""
@@ -90,7 +62,8 @@ class NotInitializedError(EonSimError):
 
 
 class InvalidConfigError(EonSimError):
-    """The simulator configuration is unusable (empty network/routes/catalog)."""
+    """The configuration cannot run: an empty network, route set or catalog,
+    a route naming a missing link, or a requested pair without routes."""
 
 
 class TimeInPastError(EonSimError):
@@ -99,10 +72,6 @@ class TimeInPastError(EonSimError):
 
 class RunAbortedError(EonSimError):
     """run() was called again after an earlier run() of the simulator raised."""
-
-
-class MissingRoutesError(EonSimError):
-    """A request arrived for a node pair that has no candidate routes."""
 
 
 # -- input documents -----------------------------------------------------------

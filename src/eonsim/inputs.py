@@ -54,7 +54,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .network import Link, Network, Node, RouteSet
+from .network import Link, Network, RouteSet
 from .traffic import BitRateCatalog, BitRateEntry, ModulationOption
 
 LOGGER = logging.getLogger(__name__)
@@ -167,10 +167,10 @@ def parse_network(text: str) -> Network:
     _warn_unknown(doc, _NETWORK_FIELDS, "network")
     if not nodes_doc:
         raise ValidationError("network: the nodes list is empty")
-    nodes = []
+    node_ids = []
     for i, node_doc in enumerate(nodes_doc):
         path = f"nodes[{i}]"
-        nodes.append(Node(_require(node_doc, "id", int, path)))
+        node_ids.append(_require(node_doc, "id", int, path))
         _warn_unknown(node_doc, _NODE_FIELDS, path)
     links = []
     for i, link_doc in enumerate(links_doc):
@@ -182,7 +182,7 @@ def parse_network(text: str) -> Network:
         slots = _require(link_doc, "slots", int, path)
         _warn_unknown(link_doc, _LINK_FIELDS, path)
         links.append(_build(path, Link, link_id, src, dst, length, slots))
-    return _build("network", Network, name, nodes, links)
+    return _build("network", Network, name, node_ids, links)
 
 
 def parse_routes(text: str, network: Network) -> RouteSet:
@@ -250,38 +250,3 @@ def load_routes(path, network: Network) -> RouteSet:
 def load_bit_rates(path) -> BitRateCatalog:
     return parse_bit_rates(Path(path).read_text(encoding="utf-8"))
 
-
-# -- serialization (round-trip counterparts) ----------------------------------
-
-def serialize_network(network: Network) -> str:
-    doc = {
-        "name": network.name,
-        "nodes": [{"id": node.id} for node in network.nodes],
-        "links": [{"id": link.id, "src": link.src, "dst": link.dst,
-                   "length": link.length_km, "slots": link.slot_count}
-                  for link in network.links],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def serialize_routes(routes: RouteSet, network: Network) -> str:
-    blocks = []
-    for src, dst in routes.pairs():
-        paths = []
-        for route in routes.routes_for(src, dst):
-            node_path = [network.link(route.link_ids[0]).src]
-            node_path.extend(network.link(lid).dst for lid in route.link_ids)
-            paths.append(node_path)
-        blocks.append({"src": src, "dst": dst, "paths": paths})
-    return json.dumps({"name": network.name, "routes": blocks}, indent=2)
-
-
-def serialize_bit_rates(catalog: BitRateCatalog) -> str:
-    doc = {
-        entry.label: [{"modulation": option.modulation,
-                       "slots": option.slot_count,
-                       "reach": option.reach_km}
-                      for option in entry.options]
-        for entry in catalog
-    }
-    return json.dumps(doc, indent=2)

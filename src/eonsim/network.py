@@ -1,4 +1,4 @@
-"""Physical network model: nodes, directed links, slot grids and candidate routes.
+"""Physical network model: directed links, slot grids and candidate routes.
 
 A link owns the occupancy grid of its frequency slots as a Python ``int``
 bitmask: bit ``i`` is set when slot ``i`` is occupied.  Every range check,
@@ -27,13 +27,6 @@ from .errors import (
     NotOccupiedError,
     OutOfBoundsError,
 )
-
-
-@dataclass(frozen=True)
-class Node:
-    """A network node, identified by a dense 0-based integer id."""
-
-    id: int
 
 
 class Link:
@@ -116,16 +109,18 @@ class Link:
 class Network:
     """A named set of nodes plus directed links, with (src, dst) -> link lookup.
 
-    At most one directed link may exist per ordered node pair; an undirected
-    topology is expressed as two directed links.  Node and link ids are both
+    A node is its integer id: ``Network(name, [0, 1, 2], links)``.  At most
+    one directed link may exist per ordered node pair; an undirected
+    topology is expressed as two directed links.  Both node and link ids are
     dense and 0-based, so links are indexable by id.  Every link has the same
     slot count: a connection holds the same slot indices on each link of its
     route, so one grid size serves every route.
     """
 
-    def __init__(self, name: str, nodes: Sequence[Node], links: Sequence[Link]):
-        ids = sorted(node.id for node in nodes)
-        if ids != list(range(len(nodes))):
+    def __init__(self, name: str, node_ids: Iterable[int], links: Sequence[Link]):
+        ids = sorted(node_ids)
+        node_count = len(ids)
+        if ids != list(range(node_count)):
             raise ValueError(f"node ids must be exactly 0..N-1, got {ids}")
         link_ids = sorted(link.id for link in links)
         if link_ids != list(range(len(links))):
@@ -133,7 +128,7 @@ class Network:
         adjacency: dict[tuple[int, int], int] = {}
         for link in links:
             for endpoint in (link.src, link.dst):
-                if not 0 <= endpoint < len(nodes):
+                if not 0 <= endpoint < node_count:
                     raise ValueError(
                         f"link {link.id} references unknown node {endpoint}")
             pair = (link.src, link.dst)
@@ -143,7 +138,7 @@ class Network:
                     f"{link.dst}), already declared by link {adjacency[pair]}")
             adjacency[pair] = link.id
         self.name = name
-        self.nodes = tuple(sorted(nodes, key=lambda n: n.id))
+        self.node_count = node_count
         self.links = tuple(sorted(links, key=lambda l: l.id))
         for link in self.links[1:]:
             if link.slot_count != self.links[0].slot_count:
@@ -159,18 +154,13 @@ class Network:
 
         Link ids are assigned in the order given.
         """
-        nodes = [Node(i) for i in range(node_count)]
         built = [Link(i, src, dst, length, slots)
                  for i, (src, dst, length, slots) in enumerate(links)]
-        return cls(name, nodes, built)
+        return cls(name, range(node_count), built)
 
     def __repr__(self):
         return (f"Network(name={self.name!r}, nodes={self.node_count}, "
                 f"links={len(self.links)})")
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     def link(self, link_id: int) -> Link:
         if not 0 <= link_id < len(self.links):
@@ -192,7 +182,7 @@ class Network:
     def fresh_copy(self) -> "Network":
         """Same topology with brand-new, all-free occupancy grids."""
         links = [Link(l.id, l.src, l.dst, l.length_km, l.slot_count) for l in self.links]
-        return Network(self.name, self.nodes, links)
+        return Network(self.name, range(self.node_count), links)
 
 
 @dataclass(frozen=True)
@@ -201,9 +191,6 @@ class Route:
 
     link_ids: tuple[int, ...]
     length_km: float
-
-    def recomputed_length_km(self, network: Network) -> float:
-        return sum(network.link(lid).length_km for lid in self.link_ids)
 
 
 class RouteSet:

@@ -16,8 +16,6 @@ from numbers import Integral
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateNetworkError, EmptyCatalogError, NonPositiveRateError
-
 
 class Seeds(NamedTuple):
     """Seed vector for the five independent streams."""
@@ -138,12 +136,12 @@ def next_exponential(stream: Random, rate: float) -> float:
     """One exponential inter-event time, ``-ln(U)/rate`` with U in (0, 1).
 
     ``rate`` must be finite and > 0, as :class:`TrafficProfile` requires;
-    otherwise :class:`~eonsim.errors.NonPositiveRateError`.  Always
+    otherwise :class:`ValueError`.  Always
     strictly positive; advances the stream by one ``random()`` draw
     (a zero draw, probability 2**-53, is redrawn).
     """
     if not 0.0 < rate < _INF:  # also false for NaN
-        raise NonPositiveRateError(f"rate must be finite and > 0, got {rate}")
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
     u = stream.random()
     while u <= 0.0:
         u = stream.random()
@@ -171,7 +169,7 @@ def sample_src_dst(streams: RngStreams, node_count: int) -> tuple[int, int]:
     keeps it uniform over the remaining nodes).
     """
     if node_count < 2:
-        raise DegenerateNetworkError(
+        raise ValueError(
             f"need at least 2 nodes to sample a pair, got {node_count}"
         )
     src = uniform_index(streams.source, node_count)
@@ -185,5 +183,5 @@ def sample_bitrate(stream: Random, catalog: BitRateCatalog) -> int:
     """Uniform index into the catalog entries."""
     count = len(catalog)
     if count == 0:
-        raise EmptyCatalogError("cannot sample from an empty bitrate catalog")
+        raise ValueError("cannot sample from an empty bitrate catalog")
     return uniform_index(stream, count)

@@ -5,11 +5,8 @@ from eonsim import ALLOCATED, NOT_ALLOCATED, AllocationContext
 from eonsim.errors import (
     AuditViolationError,
     CommitConflictError,
-    LinkIndexOutOfRangeError,
     NoSuchLinkError,
-    OptionIndexOutOfRangeError,
     OutOfBoundsError,
-    RouteIndexOutOfRangeError,
     StagedOverlapError,
 )
 
@@ -47,7 +44,7 @@ class TestRouteReads:
         assert two_hop.link_count_in_route(0) == 2
 
     def test_route_index_out_of_range(self, chain_ctx):
-        with pytest.raises(RouteIndexOutOfRangeError):
+        with pytest.raises(OutOfBoundsError):
             chain_ctx.link_count_in_route(1)
 
     def test_link_view_identity(self, chain_ctx, chain_net):
@@ -61,7 +58,7 @@ class TestRouteReads:
         assert ctx.link_in_route(0, 0).slot_count == 320
 
     def test_link_index_out_of_range(self, chain_ctx):
-        with pytest.raises(LinkIndexOutOfRangeError):
+        with pytest.raises(OutOfBoundsError):
             chain_ctx.link_in_route(0, chain_ctx.link_count_in_route(0))
 
     def test_view_exposes_no_grid_mutation(self, chain_ctx, chain_net):
@@ -77,14 +74,15 @@ class TestRouteReads:
     def test_view_slot_out_of_range(self, chain_ctx, slot):
         view = chain_ctx.link_in_route(0, 0)
         with pytest.raises(OutOfBoundsError,
-                           match=rf"^slot {slot} outside the 8-slot grid of link 0$"):
-            view.is_slot_occupied(slot)
+                           match=rf"^slot range \[{slot}, {slot + 1}\) outside the "
+                                 rf"8-slot grid of link 0$"):
+            view.is_range_free(slot, slot + 1)
 
     def test_view_grid_queries(self, chain_net, chain_ctx):
         chain_net.links[0].occupy_slots(3, 5)
         view = chain_ctx.link_in_route(0, 0)
-        assert view.is_slot_occupied(3)
-        assert not view.is_slot_occupied(0)
+        assert not view.is_range_free(3, 4)
+        assert view.is_range_free(0, 1)
         assert view.is_range_free(0, 3)
         assert not view.is_range_free(2, 4)
 
@@ -116,9 +114,9 @@ class TestRequestReads:
         assert ctx.request_modulation(5) == "BPSK"
 
     def test_option_index_out_of_range(self, chain_ctx):
-        with pytest.raises(OptionIndexOutOfRangeError):
+        with pytest.raises(OutOfBoundsError):
             chain_ctx.request_slots(chain_ctx.option_count())
-        with pytest.raises(OptionIndexOutOfRangeError):
+        with pytest.raises(OutOfBoundsError):
             chain_ctx.request_reach_km(99)
 
 

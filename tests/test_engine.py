@@ -23,7 +23,6 @@ from eonsim.errors import (
     AuditViolationError,
     CommitConflictError,
     InvalidConfigError,
-    MissingRoutesError,
     NoAllocatorSetError,
     NotInitializedError,
     RunAbortedError,
@@ -138,7 +137,7 @@ class TestInit:
             Simulator(config, first_fit).init()
 
     def test_degenerate_network_rejected(self, one_slot_catalog):
-        net = eonsim.Network("lonely", [eonsim.Node(0), eonsim.Node(1)], [])
+        net = eonsim.Network("lonely", [0, 1], [])
         config = SimulatorConfig(network=net, routes=eonsim.RouteSet(),
                                  catalog=one_slot_catalog)
         with pytest.raises(InvalidConfigError):
@@ -508,7 +507,7 @@ class TestEventQueue:
             profile=TrafficProfile(goal_connections=50))
         sim = Simulator(config, first_fit)
         sim.init()
-        with pytest.raises(MissingRoutesError):
+        with pytest.raises(InvalidConfigError):
             sim.run()
 
 

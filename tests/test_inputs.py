@@ -7,9 +7,6 @@ from eonsim import (
     parse_bit_rates,
     parse_network,
     parse_routes,
-    serialize_bit_rates,
-    serialize_network,
-    serialize_routes,
 )
 from eonsim.errors import (
     InputError,
@@ -175,25 +172,6 @@ class TestParseBitRates:
         with pytest.raises(ValidationError):
             parse_bit_rates(json.dumps(
                 {"10": [{"modulation": "BPSK", "slots": 1, "reach": -5}]}))
-
-
-class TestRoundTrip:
-    def test_network_round_trip(self):
-        first = serialize_network(parse_network(doc()))
-        assert serialize_network(parse_network(first)) == first
-
-    def test_nsfnet_round_trip(self, nsfnet):
-        first = serialize_network(nsfnet)
-        assert serialize_network(parse_network(first)) == first
-
-    def test_routes_round_trip(self, nsfnet, nsfnet_routes):
-        first = serialize_routes(nsfnet_routes, nsfnet)
-        reparsed = parse_routes(first, nsfnet)
-        assert serialize_routes(reparsed, nsfnet) == first
-
-    def test_bit_rates_round_trip(self, table_catalog):
-        first = serialize_bit_rates(table_catalog)
-        assert serialize_bit_rates(parse_bit_rates(first)) == first
 
 
 class TestParseTotality:

@@ -142,6 +142,20 @@ def raises_on_every_request(ctx):
     raise RuntimeError("no placement today")
 
 
+class FailsOnCall:
+    """First Fit until its ``n``-th call, which raises; a pool gets a copy."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = 0
+
+    def __call__(self, ctx):
+        self.calls += 1
+        if self.calls == self.n:
+            raise RuntimeError(f"call {self.n}")
+        return first_fit(ctx)
+
+
 #: A lambda has no importable name, so it cannot be pickled to a worker.
 blocks_everything = lambda ctx: NOT_ALLOCATED  # noqa: E731
 
@@ -238,6 +252,22 @@ class TestRunSweep:
         serial = console(1)
         assert serial.count("# eonsim algorithm=EF") == 3
         assert len(serial.splitlines()) == 3 * (1 + 2000 // 100 + 1)
+        assert console(2) == serial
+
+    def test_a_failed_pooled_run_prints_what_a_serial_one_does(
+            self, nsfnet_bpsk_config, capsys):
+        def console(workers):
+            with pytest.raises(AllocatorFaultError,
+                               match=r"^sweep run at lambda=18 failed: allocator "
+                                     r"'flaky' raised RuntimeError: call 150$"):
+                sweep_reports(nsfnet_bpsk_config, [18, 36], FailsOnCall(150),
+                              algorithm_name="flaky", workers=workers,
+                              progress_every=50)
+            return capsys.readouterr().out
+
+        serial = console(1)
+        assert serial.startswith("# eonsim algorithm=flaky lambda=18 ")
+        assert len(serial.splitlines()) == 3  # the header and two progress lines
         assert console(2) == serial
 
     def test_a_partial_is_named_after_its_function_and_arguments(

@@ -14,11 +14,6 @@ from eonsim import (
     sample_src_dst,
     uniform_index,
 )
-from eonsim.errors import (
-    DegenerateNetworkError,
-    EmptyCatalogError,
-    NonPositiveRateError,
-)
 
 
 class FixedStream:
@@ -47,7 +42,7 @@ class TestNextExponential:
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_non_positive_rate(self, rate):
-        with pytest.raises(NonPositiveRateError):
+        with pytest.raises(ValueError):
             next_exponential(RngStreams().arrival, rate)
 
     @pytest.mark.parametrize("rate", [18.0, 180.0])
@@ -88,7 +83,7 @@ class TestSampleSrcDst:
         assert all(s != d for s, d in (sample_src_dst(streams, 5) for _ in range(20_000)))
 
     def test_degenerate_network(self):
-        with pytest.raises(DegenerateNetworkError):
+        with pytest.raises(ValueError):
             sample_src_dst(RngStreams(), 1)
 
     def test_nsfnet_pair_frequencies_within_three_sigma(self):
@@ -125,7 +120,7 @@ class TestSampleBitrate:
             assert abs(counts[index] / n - 0.2) <= 3 * sigma
 
     def test_empty_catalog(self):
-        with pytest.raises(EmptyCatalogError):
+        with pytest.raises(ValueError):
             sample_bitrate(RngStreams().bitrate, eonsim.BitRateCatalog([]))
 
     def test_fixed_seed_reproduces_the_index_sequence(self, table_catalog):
@@ -183,13 +178,13 @@ class TestPinnedToUniformIndex:
 
     @pytest.mark.parametrize("node_count", [1, 0, -2])
     def test_degenerate_pair_message(self, node_count):
-        with pytest.raises(DegenerateNetworkError,
+        with pytest.raises(ValueError,
                            match=f"need at least 2 nodes to sample a pair, "
                                  f"got {node_count}$"):
             sample_src_dst(RngStreams(), node_count)
 
     def test_empty_catalog_message(self):
-        with pytest.raises(EmptyCatalogError,
+        with pytest.raises(ValueError,
                            match="^cannot sample from an empty bitrate catalog$"):
             sample_bitrate(RngStreams().bitrate, eonsim.BitRateCatalog([]))
 
