@@ -4,8 +4,6 @@ Loads the bundled NSFNet scenario, offers it Poisson traffic at 9 Erlang,
 lets First Fit place every request, and prints the resulting report.
 """
 
-import sys
-
 import eonsim
 from eonsim import data
 
@@ -28,9 +26,10 @@ config = eonsim.SimulatorConfig(
                                   goal_connections=GOAL),
 )
 
-# progress_every controls the console cadence; out selects the stream.
+# progress_every controls the console cadence; the lines go to stdout
+# (wrap run() in contextlib.redirect_stdout to send them to a file).
 sim = eonsim.Simulator(config, eonsim.first_fit, algorithm_name="FF",
-                       progress_every=GOAL // 5, out=sys.stdout)
+                       progress_every=GOAL // 5)
 sim.init()
 report = sim.run()
 

@@ -45,6 +45,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import (
+    AllocatorFaultError,
     AlreadyOccupiedError,
     AuditViolationError,
     CommitConflictError,
@@ -177,7 +178,7 @@ class AllocationContext:
     """Everything one allocation callback may see and do for one request."""
 
     __slots__ = ("src", "dst", "_network", "_routes", "_request", "_staged",
-                 "_strict_audit", "_plan")
+                 "_strict_audit", "_plan", "_sealed")
 
     def __init__(self, network: Network, src: int, dst: int,
                  routes: tuple[Route, ...], request: BitRateEntry,
@@ -190,6 +191,7 @@ class AllocationContext:
         self._staged: list[tuple[int, int, int]] = []
         self._strict_audit = strict_audit
         self._plan: tuple[RoutePlan, ...] | None = None
+        self._sealed = False  # the engine seals its contexts but for its commit
 
     @property
     def strict_audit(self) -> bool:
@@ -318,8 +320,13 @@ class AllocationContext:
         nothing is staged, or if the staged ranges are not contiguous per
         link or do not span the identical interval on every staged link.
         On any error the live grids are left bit-identical to their prior
-        state.
+        state.  A context the engine built raises
+        :class:`AllocatorFaultError` instead, before touching any grid: the
+        engine commits when the allocator returns :data:`ALLOCATED`.
         """
+        if self._sealed:
+            raise AllocatorFaultError("commit_staged() on a context the engine "
+                                      "built: return ALLOCATED to commit")
         if self._strict_audit:
             self._audit()
         links = self._network.links

@@ -79,11 +79,7 @@ def main(argv=None) -> int:
         print(f"eonsim: --progress must be at least 0, got {args.progress}",
               file=sys.stderr)
         return 2
-    progress = args.progress
-    if progress is None:
-        progress = max(1, args.goal // 10)
-    elif progress == 0:
-        progress = None
+    progress = max(1, args.goal // 10) if args.progress is None else args.progress
     try:
         network = load_network(args.network)
         routes = load_routes(args.routes, network)

@@ -16,6 +16,8 @@ spectrum is freed before a competing request is evaluated, so ties never
 inflate blocking.
 An event listener receives an :class:`Event` view built for it, and
 :attr:`Simulator.live_connections` is a snapshot built from the heap.
+An event is never before the clock: it is the clock plus a draw of
+:func:`~eonsim.traffic.next_exponential`, which is never negative.
 
 Request plans (candidate routes, the bitrate entry and what the bundled
 search needs of them, see :func:`~eonsim.allocation.request_plan`) are
@@ -35,7 +37,7 @@ import sys
 import time as _time
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, NamedTuple
 
 from .allocation import ALLOCATED, NOT_ALLOCATED, AllocationContext, request_plan
 from .errors import (
@@ -46,7 +48,6 @@ from .errors import (
     NoAllocatorSetError,
     NotInitializedError,
     RunAbortedError,
-    TimeInPastError,
 )
 from .network import Link, Network, RouteSet
 from .report import SimulationReport
@@ -125,6 +126,9 @@ class Simulator:
     departure goes next unless the arrival is strictly earlier.
     ``event_listener`` is called after each event with an :class:`Event`
     view of it; :attr:`live_connections` is a snapshot built on read.
+    ``progress_every`` is ``None`` or an ``int`` of at least 0 (else
+    :class:`ValueError`); above 0, a header, a progress line every that many
+    requests and a summary go to ``sys.stdout``.
     """
 
     def __init__(self, config: SimulatorConfig,
@@ -132,8 +136,11 @@ class Simulator:
                  *,
                  algorithm_name: str | None = None,
                  progress_every: int | None = None,
-                 out: TextIO | None = None,
                  event_listener: Callable[["Simulator", Event], None] | None = None):
+        if progress_every is not None and not (
+                type(progress_every) is int and progress_every >= 0):
+            raise ValueError("progress_every must be None or an int of at "
+                             f"least 0, got {progress_every!r}")
         network = config.network.fresh_copy()
         for own, given in zip(network.links, config.network.links):
             own._mask = given._mask  # keeps any background occupancy
@@ -141,7 +148,6 @@ class Simulator:
         self._allocator = allocator
         self._algorithm_name = algorithm_name or _allocator_name(allocator)
         self._progress_every = progress_every
-        self._out = out
         self._event_listener = event_listener
         self._state = "new"  # -> "ready" (init) -> "running" -> "done"
         self._clock = 0.0
@@ -215,8 +221,6 @@ class Simulator:
             per_bitrate={entry.label: [0, 0] for entry in config.catalog},
         )
         first = next_exponential(self._streams.arrival, config.profile.arrival_rate)
-        if first < 0.0:
-            raise _time_in_past(first, 0.0)
         self._arrival = (first, next(self._event_ids))
         self._state = "ready"
 
@@ -259,11 +263,10 @@ class Simulator:
         dispatched = 0
         event_ids = self._event_ids
         connection_ids = self._connection_ids
-        out = self._out
         progress_every = self._progress_every
         listener = self._event_listener
-        if out is not None:
-            print(report.header_line(), file=out)
+        if progress_every:
+            print(report.header_line())
         started = _time.perf_counter()
         while pending is not None or departures:
             if departures and (pending is None or departures[0][0] <= pending[0]):
@@ -292,6 +295,7 @@ class Simulator:
                 ctx = AllocationContext(network, src, dst, routes, entry,
                                         strict_audit=strict_audit)
                 ctx._plan = plan
+                ctx._sealed = True
                 try:
                     verdict = allocator(ctx)
                 except AllocatorFaultError:
@@ -301,16 +305,16 @@ class Simulator:
                         f"allocator {self._algorithm_name!r} raised "
                         f"{type(err).__name__}: {err}") from err
                 if verdict is ALLOCATED:
+                    ctx._sealed = False
                     try:
                         holdings = ctx.commit_staged()
                     except TypeError as err:
                         raise _non_integer_bound(self._algorithm_name,
                                                  ctx.staged) from err
+                    ctx._sealed = True
                     departs = clock + draw_exponential(departure_stream,
                                                        departure_rate)
                     held_by = next(connection_ids)
-                    if departs < clock:
-                        raise _time_in_past(departs, clock)
                     push(departures, (departs, next(event_ids), held_by, holdings))
                 elif verdict is NOT_ALLOCATED:
                     ctx.discard_staged()
@@ -322,19 +326,16 @@ class Simulator:
                 dispatched += 1
                 if dispatched < goal:
                     arrives = clock + draw_exponential(arrival_stream, arrival_rate)
-                    if arrives < clock:
-                        raise _time_in_past(arrives, clock)
                     pending = self._arrival = (arrives, next(event_ids))
                 else:
                     pending = self._arrival = None
-                if (out is not None and progress_every
-                        and report.processed % progress_every == 0):
-                    print(report.progress_line(), file=out)
+                if progress_every and report.processed % progress_every == 0:
+                    print(report.progress_line())
                 if listener is not None:
                     listener(self, Event(clock, EventKind.ARRIVAL, event_id))
         report.wall_clock_seconds = _time.perf_counter() - started
-        if out is not None:
-            print(report.summary_line(), file=out)
+        if progress_every:
+            print(report.summary_line())
         self._state = "done"
         return report
 
@@ -354,10 +355,6 @@ def _allocator_name(allocator) -> str:
     return getattr(allocator, "__name__", "unnamed")
 
 
-def _time_in_past(at: float, clock: float) -> TimeInPastError:
-    return TimeInPastError(f"event at t={at} is before the clock t={clock}")
-
-
 def _non_integer_bound(algorithm_name: str, staged) -> AllocatorFaultError:
     # The mask arithmetic of commit_staged fails on a non-int bound before it
     # sets any bit, so every grid is as it was.
@@ -368,26 +365,23 @@ def _non_integer_bound(algorithm_name: str, staged) -> AllocatorFaultError:
 
 
 def _sweep_run(config, allocator, algorithm_name, progress_every, pooled, profile):
-    """One sweep run: its report and, from a pool, its console lines.
+    """One sweep run: its report and, from a pool, what it printed.
 
-    A serial run prints to ``sys.stdout`` as it goes; a pooled run collects
-    its lines for the caller to print, so runs never share a stream.  A
-    failed pooled run's lines travel back with its error as ``console_lines``.
+    A serial run prints to ``sys.stdout`` as it goes; a pooled run captures
+    its ``sys.stdout``, the allocator's prints included, for the caller to
+    print, so runs never share a stream.  A failed pooled run's lines travel
+    back with its error as ``console_lines``.
     """
-    out = None
-    if progress_every:
-        out = io.StringIO() if pooled else sys.stdout
     simulator = Simulator(replace(config, profile=profile), allocator,
-                          algorithm_name=algorithm_name, progress_every=progress_every,
-                          out=out)
-    try:
-        simulator.init()
-        report = simulator.run()
-    except EonSimError as err:
-        if pooled and out:
-            err.console_lines = out.getvalue()
-        raise
-    return report, out.getvalue() if pooled and out else ""
+                          algorithm_name=algorithm_name, progress_every=progress_every)
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured) if pooled else contextlib.nullcontext():
+        try:
+            simulator.init()
+            return simulator.run(), captured.getvalue()
+        except EonSimError as err:
+            err.console_lines = captured.getvalue()
+            raise
 
 
 def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
@@ -409,7 +403,8 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
 
     With ``progress_every``, each run's header, progress and summary lines go
     to ``sys.stdout`` as one block per run in load order: a serial run prints
-    them live, a pooled run once it is done.  An :class:`EonSimError` of a run
+    them live, a pooled run once it is done, together with whatever the
+    allocator printed during that run.  An :class:`EonSimError` of a run
     is re-raised as the same class, prefixed with the run's rate, after the
     lines that run printed; later runs print nothing.
     """

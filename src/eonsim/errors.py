@@ -2,7 +2,8 @@
 
 Every error the library signals deliberately derives from :class:`EonSimError`,
 so callers can catch the whole family with one clause; a bad argument to a
-model constructor or a traffic sampler is a built-in :class:`ValueError`.
+model constructor, a traffic sampler or ``progress_every`` is a built-in
+:class:`ValueError`.
 There is one class per failure a caller handles differently.
 """
 
@@ -36,7 +37,11 @@ class StagedOverlapError(EonSimError):
 
 
 class AllocatorFaultError(EonSimError):
-    """An allocation callback violated its contract; the run is aborted."""
+    """An allocation callback violated its contract; the run is aborted.
+
+    E.g. it raised (the ``__cause__``), returned a bad verdict, staged a
+    non-``int`` bound, or called ``commit_staged()`` itself.
+    """
 
 
 class CommitConflictError(AllocatorFaultError):
@@ -64,10 +69,6 @@ class NotInitializedError(EonSimError):
 class InvalidConfigError(EonSimError):
     """The configuration cannot run: an empty network, route set or catalog,
     a route naming a missing link, or a requested pair without routes."""
-
-
-class TimeInPastError(EonSimError):
-    """An event was scheduled before the current simulation clock."""
 
 
 class RunAbortedError(EonSimError):

@@ -8,7 +8,8 @@ the allocator makes, in order, followed by its verdict:
 - ``("alloc_slots", link_id, start, stop)`` stages ``[start, stop)`` on a
   link;
 - ``("link_in_route", route, link)``, ``("route_link_ids", route)`` and
-  ``("request_slots", option)`` read by index.
+  ``("request_slots", option)`` read by index;
+- ``("commit_staged",)`` is refused: the engine commits, on ``ALLOCATED``.
 
 :func:`outcome` gives either the exception class of the first step that
 must fail, with that step's position (the verdict is the step after the
@@ -36,6 +37,8 @@ def _index_ok(index, count):
 def _call_error(call, grids, routes, option_count, staged):
     """The class the call raises, or ``None``; a valid range is staged."""
     kind = call[0]
+    if kind == "commit_staged":
+        return AllocatorFaultError
     if kind == "alloc_slots":
         _, link_id, start, stop = call
         if not _index_ok(link_id, len(grids)):

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import io
 import weakref
 
 import pytest
@@ -26,7 +25,6 @@ from eonsim.errors import (
     NoAllocatorSetError,
     NotInitializedError,
     RunAbortedError,
-    TimeInPastError,
 )
 
 from conftest import mask_of
@@ -173,6 +171,34 @@ class TestRunBasics:
         report = sim.run()
         assert report.blocked == 5
         assert sim.config.network.all_grids_free()
+
+    @pytest.mark.parametrize("first_verdict", [ALLOCATED, NOT_ALLOCATED])
+    def test_a_context_from_an_earlier_request_cannot_commit(self, pair_config,
+                                                             first_verdict):
+        kept = []
+        grids = []
+
+        def commit_a_kept_context(ctx):
+            link_id = ctx.route_link_ids(0)[0]
+            if kept:
+                grids.append([link.occupancy for link in sim.config.network.links])
+                kept[0].alloc_slots(link_id, 4, 8)
+                kept[0].commit_staged()
+            kept.append(ctx)
+            ctx.alloc_slots(link_id, 0, 1)
+            return first_verdict
+
+        sim = Simulator(pair_config(goal=5), commit_a_kept_context)
+        sim.init()
+        with pytest.raises(AllocatorFaultError,
+                           match=r"^commit_staged\(\) on a context the engine "
+                                 r"built") as excinfo:
+            sim.run()
+        assert type(excinfo.value) is AllocatorFaultError
+        assert [link.occupancy for link in sim.config.network.links] == grids[0]
+        with pytest.raises(AllocatorFaultError):  # after the run too
+            kept[0].commit_staged()
+        assert [link.occupancy for link in sim.config.network.links] == grids[0]
 
     def test_second_run_returns_same_report(self, pair_config):
         sim = Simulator(pair_config(goal=3), always_blocked)
@@ -470,14 +496,6 @@ class TestEventQueue:
         event_ids = [event.event_id for event in departures]
         assert event_ids == sorted(event_ids)
 
-    def test_schedule_in_past_rejected(self, pair_config, monkeypatch):
-        # init() schedules the first arrival at the clock's zero plus a draw.
-        monkeypatch.setattr(eonsim.engine, "next_exponential",
-                            lambda stream, rate: -1.0)
-        sim = Simulator(pair_config(), first_fit)
-        with pytest.raises(TimeInPastError, match="is before the clock t=0.0"):
-            sim.init()
-
     def test_tie_rule_frees_spectrum_before_competing_arrival(
             self, pair_net, pair_routes, one_slot_catalog, monkeypatch):
         # Arrivals at t = 1, 2, 3, ... and holding times of exactly 1.0 on a
@@ -564,20 +582,27 @@ class TestDeterminism:
 
 
 class TestProgressOutput:
-    def test_header_progress_and_summary(self, pair_config):
-        out = io.StringIO()
+    def test_header_progress_and_summary(self, pair_config, capsys):
         sim = Simulator(pair_config(goal=10), always_blocked,
-                        algorithm_name="FF", progress_every=10, out=out)
+                        algorithm_name="FF", progress_every=10)
         sim.init()
         sim.run()
-        lines = out.getvalue().splitlines()
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("#") and "algorithm=FF" in lines[0]
         assert "lambda=3" in lines[0] and "mu=10" in lines[0]
         assert lines[1] == "progress requests=10 blocked=10 blocking=1.000000e+00"
         assert lines[2].startswith("done requests=10 accepted=0 blocked=10")
 
-    def test_interim_probability_matches_counts(self, pair_config):
+    @pytest.mark.parametrize("progress_every", [-5, True, 2.5, "10"],
+                             ids=["negative", "bool", "float", "str"])
+    def test_progress_every_is_none_or_a_count(self, pair_config, progress_every):
+        # -5 used to print every 5th request, and True or 2.5 were taken as is.
+        with pytest.raises(ValueError, match=r"progress_every must be None or an "
+                                             r"int of at least 0, got "):
+            Simulator(pair_config(), always_blocked, progress_every=progress_every)
+
+    def test_interim_probability_matches_counts(self, pair_config, capsys):
         calls = []
 
         def every_third_blocked(ctx):
@@ -586,13 +611,12 @@ class TestProgressOutput:
                 return NOT_ALLOCATED
             return ALLOCATED
 
-        out = io.StringIO()
         # Accepts without staging, which only a non-strict run allows.
         sim = Simulator(pair_config(goal=30, strict_audit=False),
-                        every_third_blocked, progress_every=1, out=out)
+                        every_third_blocked, progress_every=1)
         sim.init()
         sim.run()
-        progress = [line for line in out.getvalue().splitlines()
+        progress = [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("progress")]
         assert len(progress) == 30
         for k, line in enumerate(progress, start=1):
@@ -640,21 +664,6 @@ class TestLifecycleViews:
         assert {kind for kind, _ in seen} == set(EventKind)
         assert live_seen > 0
         assert not sim.live_connections
-
-    @pytest.mark.parametrize("negative_rate", [3.0, 10.0],
-                             ids=["arrival", "departure"])
-    def test_negative_draw_during_run_is_rejected(self, pair_config,
-                                                  monkeypatch, negative_rate):
-        # Only the draws at the given rate (lambda=3 for the next arrival,
-        # mu=10 for a holding time) go negative, so each scheduling path
-        # must refuse an event before the clock on its own.
-        sim = Simulator(pair_config(goal=5, lam=3.0, mu=10.0), take_first_slot)
-        sim.init()
-        monkeypatch.setattr(
-            eonsim.engine, "next_exponential",
-            lambda stream, rate: -1.0 if rate == negative_rate else 1.0)
-        with pytest.raises(TimeInPastError, match="is before the clock"):
-            sim.run()
 
 
 class TestCommitWithoutRollback:

@@ -27,7 +27,7 @@ ERROR_CLASSES = [
     "InvalidConfigError", "MalformedDocumentError", "NoAllocatorSetError",
     "NoSuchLinkError", "NotInitializedError", "NotOccupiedError",
     "OutOfBoundsError", "RunAbortedError", "SchemaError", "StagedOverlapError",
-    "TimeInPastError", "ValidationError",
+    "ValidationError",
 ]
 
 

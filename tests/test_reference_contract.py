@@ -4,12 +4,13 @@ Each instance is a bidirectional ring of 3-5 nodes with 6-12 slots per
 link, random background occupancy, one or two routes per ordered pair and
 one bitrate with 1-3 options.  A seeded random allocator reads by index,
 stages 0-6 ranges (in or out of bounds, on or off the route, equal or
-unequal, overlapping or not, now and then with a ``float`` bound) and
-returns ``ALLOCATED``, ``NOT_ALLOCATED`` or something else.  The engine must
-raise the model's class at the model's step, leave every grid as it was
-after any failure, and after a success hold the model's grids.  Whole runs
-of a random valid allocator on the same instances must drain back to the
-background occupancy.
+unequal, overlapping or not, now and then with a ``float`` bound), now and
+then calls ``commit_staged()`` itself, and returns ``ALLOCATED``,
+``NOT_ALLOCATED`` or something else.  The engine must raise the model's
+class at the model's step, leave every grid as it was after any failure,
+and after a success hold the model's grids.  Whole runs of a random valid
+allocator on the same instances must drain back to the background
+occupancy.
 """
 
 import dataclasses
@@ -93,6 +94,8 @@ def random_call(rng, grids, routes, option_count, route, start, width):
         return ("route_link_ids", rng.randint(-1, len(routes)))
     if kind < 0.2:
         return ("request_slots", rng.randint(-1, option_count))
+    if kind < 0.25:
+        return ("commit_staged",)
     link = rng.choice(route) if rng.random() < 0.7 else rng.randint(-1, len(grids))
     low = rng.randrange(slots)
     bounds = rng.choice([
@@ -175,7 +178,10 @@ def run_one(seed, strict_audit):
         assert grids_of(sim.config.network) == grids, "a failure changed a grid"
         if allocator.failed is not None:
             step, cls = allocator.failed
-            assert type(err) is AllocatorFaultError and type(err.__cause__) is cls
+            # A context call's AllocatorFaultError passes through as it is;
+            # any other error is the cause of one.
+            cause = err if cls is AllocatorFaultError else err.__cause__
+            assert type(err) is AllocatorFaultError and type(cause) is cls
             seen = ("raise", step, cls)
         else:
             seen = ("raise", len(allocator.calls), type(err))
@@ -196,9 +202,12 @@ def test_random_allocators_follow_the_contract(strict_audit):
         assert seen == expected, (seed, allocator.calls, allocator.verdict)
         kinds.add(expected[2] if expected[0] == "raise"
                   else "accepted" if allocator.verdict == ALLOCATED else "blocked")
+        if expected[0] == "raise" and expected[1] < len(allocator.calls):
+            kinds.add(allocator.calls[expected[1]][0])  # the call that failed
     # The generator reaches every outcome, so a pass means something.
     wanted = {NoSuchLinkError, OutOfBoundsError, StagedOverlapError,
-              CommitConflictError, AllocatorFaultError, "accepted", "blocked"}
+              CommitConflictError, AllocatorFaultError, "accepted", "blocked",
+              "commit_staged"}
     if strict_audit:
         wanted.add(AuditViolationError)
     assert wanted <= kinds

@@ -156,6 +156,13 @@ class FailsOnCall:
         return first_fit(ctx)
 
 
+def printing_first_fit(ctx):
+    """First Fit that prints a line, set by the request alone, for pair (0, 1)."""
+    if (ctx.src, ctx.dst) == (0, 1):
+        print(f"request 0->1 bitrate={ctx.request_bitrate_label()}")
+    return first_fit(ctx)
+
+
 #: A lambda has no importable name, so it cannot be pickled to a worker.
 blocks_everything = lambda ctx: NOT_ALLOCATED  # noqa: E731
 
@@ -269,6 +276,31 @@ class TestRunSweep:
         assert serial.startswith("# eonsim algorithm=flaky lambda=18 ")
         assert len(serial.splitlines()) == 3  # the header and two progress lines
         assert console(2) == serial
+
+    def test_a_pooled_block_holds_the_allocators_prints(self, nsfnet_bpsk_config,
+                                                        capsys):
+        def console(workers):
+            sweep_reports(nsfnet_bpsk_config, [180, 1500], printing_first_fit,
+                          workers=workers, progress_every=500)
+            return re.sub(r"wall_seconds=\S+", "wall_seconds=",
+                          capsys.readouterr().out)
+
+        serial = console(1)
+        lines = serial.splitlines()
+        headers = [i for i, line in enumerate(lines) if line.startswith("# eonsim")]
+        assert headers[0] == 0 and len(headers) == 2
+        assert any(line.startswith("request 0->1")
+                   for line in lines[:headers[1]])
+        assert console(2) == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_progress_every_fails_before_any_run(self, base_config, capsys,
+                                                     workers):
+        with pytest.raises(ValueError, match="progress_every must be None or an "
+                                             "int of at least 0, got -5"):
+            sweep_reports(base_config, [18, 90], first_fit, workers=workers,
+                          progress_every=-5)
+        assert capsys.readouterr().out == ""
 
     def test_a_partial_is_named_after_its_function_and_arguments(
             self, base_config, capsys):
