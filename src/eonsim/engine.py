@@ -23,7 +23,9 @@ Request plans (candidate routes, the bitrate entry and what the bundled
 search needs of them, see :func:`~eonsim.allocation.request_plan`) are
 built during :meth:`Simulator.run` on the first request for each (source,
 destination, bitrate) and reused for the rest of the run, never in
-:meth:`Simulator.init`.
+:meth:`Simulator.init`.  A request can draw any ordered pair of distinct
+nodes, so ``init()`` raises :class:`~eonsim.errors.InvalidConfigError` for
+a pair without routes or with a route naming a link the network lacks.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class Simulator:
     # -- lifecycle -------------------------------------------------------------
 
     def init(self) -> None:
-        """Freeze the configuration, zero the clock, schedule the first arrival."""
+        """Check every pair's routes, zero the clock, schedule the first arrival."""
         if self._state != "new":
             raise AlreadyInitializedError("init() may only be called once")
         if not callable(self._allocator):
@@ -197,18 +199,19 @@ class Simulator:
                 f"the allocator must be callable, got {self._allocator!r}; pass "
                 "a function such as eonsim.first_fit, or one from eonsim.ALGORITHMS")
         config = self._config
-        if config.network.node_count < 2 or not config.network.links:
+        network = config.network
+        top_link, top_pair = -1, None  # largest link id, first pair using it
+        for pair in itertools.permutations(range(network.node_count), 2):
+            routes = config.routes.routes_for(*pair)
+            if not routes:
+                raise InvalidConfigError(f"no candidate routes for pair {pair}")
+            top = max(max(route.link_ids) for route in routes)
+            if top > top_link:
+                top_link, top_pair = top, pair
+        if top_link >= len(network.links):
             raise InvalidConfigError(
-                "the network needs at least 2 nodes and 1 link")
-        if config.routes.pair_count == 0:
-            raise InvalidConfigError("the route set is empty")
-        link_id, pair = config.routes._highest_link
-        if link_id >= len(config.network.links):
-            raise InvalidConfigError(
-                f"a route of pair {pair} uses link {link_id}, but network "
-                f"{config.network.name!r} has links 0..{len(config.network.links) - 1}")
-        if len(config.catalog) == 0:
-            raise InvalidConfigError("the bitrate catalog is empty")
+                f"a route of pair {top_pair} uses link {top_link}, but network "
+                f"{network.name!r} has links 0..{len(network.links) - 1}")
         self._streams = RngStreams(config.seeds)
         self._clock = 0.0
         self._report = SimulationReport(
@@ -285,9 +288,6 @@ class Simulator:
                 planned = plans.get((src, dst, index))
                 if planned is None:
                     routes = config.routes.routes_for(src, dst)
-                    if not routes:
-                        raise InvalidConfigError(
-                            f"no candidate routes for pair ({src}, {dst})")
                     entry = catalog[index]
                     planned = (routes, request_plan(network, routes, entry), entry)
                     plans[src, dst, index] = planned
@@ -311,14 +311,13 @@ class Simulator:
                     except TypeError as err:
                         raise _non_integer_bound(self._algorithm_name,
                                                  ctx.staged) from err
-                    ctx._sealed = True
+                    finally:
+                        ctx._sealed = True
                     departs = clock + draw_exponential(departure_stream,
                                                        departure_rate)
                     held_by = next(connection_ids)
                     push(departures, (departs, next(event_ids), held_by, holdings))
-                elif verdict is NOT_ALLOCATED:
-                    ctx.discard_staged()
-                else:
+                elif verdict is not NOT_ALLOCATED:
                     raise AllocatorFaultError(
                         f"allocator {self._algorithm_name!r} returned {verdict!r} "
                         "instead of ALLOCATED or NOT_ALLOCATED")
@@ -394,12 +393,13 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
     algorithm_name=algorithm_name)``, so any allocation callable can be
     swept.  Returns the reports ordered by increasing load.  Every profile is
     built before the first run, so a rate the profile rejects raises
-    :class:`ValueError` without running anything, as ``workers`` below 1 does.
-    The runs share no mutable state and leave ``config`` as it was, so
-    ``workers > 1`` runs them in up to one process per rate, with the same
-    results.  The allocator then reaches the workers by pickle, by reference:
-    a module-level function or a ``functools.partial`` of one works, a lambda
-    does not, and module-level state it keeps changes in the workers only.
+    :class:`ValueError` without running anything, as ``workers`` does unless
+    it is an ``int`` of at least 1.  The runs share no mutable state and
+    leave ``config`` as it was, so ``workers > 1`` runs them in up to one
+    process per rate, with the same results.  The allocator then reaches the
+    workers by pickle, by reference: a module-level function or a
+    ``functools.partial`` of one works, a lambda does not, and module-level
+    state it keeps changes in the workers only.
 
     With ``progress_every``, each run's header, progress and summary lines go
     to ``sys.stdout`` as one block per run in load order: a serial run prints
@@ -412,6 +412,8 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
                        for lam in lambdas), key=lambda profile: profile.arrival_rate)
     if not profiles:
         raise ValueError("at least one arrival rate is required")
+    if type(workers) is not int:
+        raise ValueError(f"workers must be an int, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(profiles))

@@ -109,17 +109,20 @@ class Link:
 class Network:
     """A named set of nodes plus directed links, with (src, dst) -> link lookup.
 
-    A node is its integer id: ``Network(name, [0, 1, 2], links)``.  At most
-    one directed link may exist per ordered node pair; an undirected
-    topology is expressed as two directed links.  Both node and link ids are
-    dense and 0-based, so links are indexable by id.  Every link has the same
-    slot count: a connection holds the same slot indices on each link of its
-    route, so one grid size serves every route.
+    A node is its integer id: ``Network(name, [0, 1, 2], links)``, at least
+    two of them, the fewest a request can join.  At most one directed link
+    may exist per ordered node pair; an undirected topology is two directed
+    links.  Node and link ids are dense and 0-based, so links are indexable
+    by id.  Every link has the same slot count: a connection holds the same
+    slot indices on each link of its route, so one grid size serves every
+    route.
     """
 
     def __init__(self, name: str, node_ids: Iterable[int], links: Sequence[Link]):
         ids = sorted(node_ids)
         node_count = len(ids)
+        if node_count < 2:
+            raise ValueError(f"a network needs at least 2 nodes, got {node_count}")
         if ids != list(range(node_count)):
             raise ValueError(f"node ids must be exactly 0..N-1, got {ids}")
         link_ids = sorted(link.id for link in links)
@@ -202,9 +205,6 @@ class RouteSet:
 
     def __init__(self):
         self._routes: dict[tuple[int, int], list[Route]] = {}
-        # (largest link id of any route, a pair whose route uses it), so a
-        # simulator checks the set against its network in constant time.
-        self._highest_link: tuple[int, tuple[int, int]] | None = None
 
     def add_route(self, network: Network, src: int, dst: int,
                   link_ids: Sequence[int]) -> Route:
@@ -237,14 +237,8 @@ class RouteSet:
                 f"route for ({src}, {dst}) uses link {repeated[0]} more than once"
             )
         route = Route(tuple(link_ids), sum(l.length_km for l in links))
-        self._append((src, dst), route)
+        self._routes.setdefault((src, dst), []).append(route)
         return route
-
-    def _append(self, pair: tuple[int, int], route: Route) -> None:
-        self._routes.setdefault(pair, []).append(route)
-        top = max(route.link_ids)
-        if self._highest_link is None or top > self._highest_link[0]:
-            self._highest_link = (top, pair)
 
     def add_node_path(self, network: Network, node_path: Sequence[int]) -> Route:
         """Append a route given as a node-id sequence, resolving each hop."""
@@ -269,7 +263,6 @@ class RouteSet:
         if max_routes < 1:
             raise ValueError(f"max_routes must be >= 1, got {max_routes}")
         clone = RouteSet()
-        for pair, routes in self._routes.items():
-            for route in routes[:max_routes]:
-                clone._append(pair, route)
+        clone._routes = {pair: routes[:max_routes]
+                         for pair, routes in self._routes.items()}
         return clone

@@ -105,18 +105,23 @@ class BitRateEntry:
 class BitRateCatalog:
     """Ordered bitrate entries; entry order matches the input document.
 
-    No two entries share a bitrate: labels such as ``"10"`` and ``"10.0"``
-    would otherwise make that bitrate twice as likely to be drawn.
+    At least one entry, no two with one label (they would share a report
+    counter) or one bitrate: labels such as ``"10"`` and ``"10.0"`` would
+    otherwise make that bitrate twice as likely to be drawn.
     """
 
     def __init__(self, entries: Sequence[BitRateEntry]):
         self.entries = tuple(entries)
+        if not self.entries:
+            raise ValueError("a bitrate catalog needs at least one entry")
         labels = {}
         for entry in self.entries:
             if entry.bitrate_gbps in labels:
                 raise ValueError(f"bitrate labels {labels[entry.bitrate_gbps]!r} "
                                  f"and {entry.label!r} both give "
                                  f"{entry.bitrate_gbps:g} Gbps")
+            if entry.label in labels.values():
+                raise ValueError(f"bitrate label {entry.label!r} names two entries")
             labels[entry.bitrate_gbps] = entry.label
 
     def __len__(self) -> int:

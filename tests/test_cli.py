@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from eonsim import data
@@ -184,6 +186,21 @@ def test_non_finite_rate_rejected(tmp_path, capsys, option, value):
     rate = "arrival" if option == "--lambda" else "departure"
     assert capsys.readouterr().err == (
         f"eonsim: {rate} rate must be finite and > 0, got {value}\n")
+    assert not out.exists()
+
+
+def test_routes_file_without_a_pair_fails_before_any_run(tmp_path, capsys):
+    doc = json.loads(data.data_path("nsfnet_routes_k3.json").read_text())
+    doc["routes"] = [pair for pair in doc["routes"]
+                     if (pair["src"], pair["dst"]) != (0, 12)]
+    routes = tmp_path / "routes.json"
+    routes.write_text(json.dumps(doc))
+    out = tmp_path / "run.dat"
+    code = main(["--network", NETWORK, "--routes", str(routes),
+                 "--algorithm", "FF", "--goal", "10", "--lambda", "18",
+                 "--out", str(out)])
+    assert code == 1
+    assert "no candidate routes for pair (0, 12)" in capsys.readouterr().err
     assert not out.exists()
 
 

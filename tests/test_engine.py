@@ -112,7 +112,8 @@ class TestInit:
             (0, 1, 1.0, 8), (1, 0, 1.0, 8), (0, 2, 1.0, 8),
             (2, 0, 1.0, 8), (1, 2, 1.0, 8), (2, 1, 1.0, 8)])
         routes = eonsim.RouteSet()
-        for path in ([0, 1], [1, 0], [0, 2], [0, 1, 2], [2, 0]):
+        for path in ([0, 1], [1, 0], [0, 2], [0, 1, 2], [2, 0], [1, 0, 2],
+                     [2, 0, 1]):
             routes.add_node_path(triangle, path)
         # Links 0-3 of the triangle, without the link 1 -> 2 that the second
         # route of (0, 2) uses.
@@ -128,11 +129,39 @@ class TestInit:
             init(routes)
         init(routes.truncated(1))
 
-    def test_empty_catalog_rejected(self, pair_net, pair_routes):
-        config = SimulatorConfig(network=pair_net, routes=pair_routes,
-                                 catalog=eonsim.BitRateCatalog([]))
-        with pytest.raises(InvalidConfigError):
-            Simulator(config, first_fit).init()
+    def test_empty_catalog_rejected(self):
+        with pytest.raises(ValueError, match="^a bitrate catalog needs at least "
+                                             "one entry$"):
+            eonsim.BitRateCatalog([])
+
+    def test_missing_routes_rejected(self, chain_net, one_slot_catalog):
+        routes = eonsim.RouteSet()
+        routes.add_node_path(chain_net, [0, 1])
+        config = SimulatorConfig(
+            network=chain_net, routes=routes, catalog=one_slot_catalog,
+            profile=TrafficProfile(goal_connections=50))
+        sim = Simulator(config, first_fit)
+        with pytest.raises(InvalidConfigError,
+                           match=r"^no candidate routes for pair \(0, 2\)$"):
+            sim.init()
+        with pytest.raises(NotInitializedError):
+            sim.run()
+
+    @pytest.mark.parametrize("seeds", [eonsim.Seeds(), eonsim.Seeds(1, 2, 3, 4, 5),
+                                       eonsim.Seeds(7, 70, 700, 7000, 70000)])
+    def test_a_pair_without_routes_fails_before_the_first_request(
+            self, nsfnet, nsfnet_routes, table_catalog, seeds):
+        routes = eonsim.RouteSet()
+        for src, dst in nsfnet_routes.pairs():
+            if (src, dst) != (0, 12):
+                for route in nsfnet_routes.routes_for(src, dst):
+                    routes.add_route(nsfnet, src, dst, route.link_ids)
+        sim = Simulator(SimulatorConfig(network=nsfnet, routes=routes,
+                                        catalog=table_catalog, seeds=seeds),
+                        first_fit)
+        with pytest.raises(InvalidConfigError,
+                           match=r"^no candidate routes for pair \(0, 12\)$"):
+            sim.init()
 
     def test_degenerate_network_rejected(self, one_slot_catalog):
         net = eonsim.Network("lonely", [0, 1], [])
@@ -199,6 +228,31 @@ class TestRunBasics:
         with pytest.raises(AllocatorFaultError):  # after the run too
             kept[0].commit_staged()
         assert [link.occupancy for link in sim.config.network.links] == grids[0]
+
+    def test_a_context_whose_commit_raised_cannot_commit(self, pair_net,
+                                                         pair_config):
+        for link in pair_net.links:
+            link.occupy_slots(0, 1)  # background: slot 0 is taken everywhere
+        kept = []
+
+        def stage_the_taken_slot(ctx):
+            kept.append(ctx)
+            ctx.alloc_slots(ctx.route_link_ids(0)[0], 0, 1)
+            return ALLOCATED
+
+        sim = Simulator(pair_config(goal=1), stage_the_taken_slot)
+        sim.init()
+        with pytest.raises(CommitConflictError):
+            sim.run()
+        grids = [link.occupancy for link in sim.config.network.links]
+        assert grids == [0b1, 0b1]
+        kept[0].discard_staged()
+        kept[0].alloc_slots(0, 3, 5)
+        with pytest.raises(AllocatorFaultError,
+                           match=r"^commit_staged\(\) on a context the engine "
+                                 r"built"):
+            kept[0].commit_staged()
+        assert [link.occupancy for link in sim.config.network.links] == grids
 
     def test_second_run_returns_same_report(self, pair_config):
         sim = Simulator(pair_config(goal=3), always_blocked)
@@ -516,17 +570,6 @@ class TestEventQueue:
         sim.init()
         report = sim.run()
         assert report.blocked == 0
-
-    def test_missing_routes_aborts(self, chain_net, one_slot_catalog):
-        routes = eonsim.RouteSet()
-        routes.add_node_path(chain_net, [0, 1])
-        config = SimulatorConfig(
-            network=chain_net, routes=routes, catalog=one_slot_catalog,
-            profile=TrafficProfile(goal_connections=50))
-        sim = Simulator(config, first_fit)
-        sim.init()
-        with pytest.raises(InvalidConfigError):
-            sim.run()
 
 
 class TestInvariantsUnderListener:

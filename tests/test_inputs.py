@@ -223,6 +223,8 @@ class TestLocatedModelRules:
          "network", ["duplicate", "(0 -> 1)", "link 4", "link 0"]),
         ("network", _with_link(2, slots=16), "network",
          ["link 2 has 16 slots", "link 0 has 8"]),
+        ("network", doc(nodes=[{"id": 0}], links=[]), "network",
+         ["at least 2 nodes", "got 1"]),
         ("routes", json.dumps({"name": "x", "routes": [
             {"src": 0, "dst": 2, "paths": [[0, 1, 2], [0, 1]]}]}),
          "routes[0].paths[1]", ["ends at node 1"]),
@@ -238,11 +240,12 @@ class TestLocatedModelRules:
          "bit_rates['10'][0]", ["reach", "nan"]),
         ("bit_rates", json.dumps({"10": [OPTION], "40": [OPTION], "10.0": [OPTION]}),
          "bit_rates", ["'10'", "'10.0'", "10 Gbps"]),
+        ("bit_rates", "{}", "bit_rates", ["at least one entry"]),
     ], ids=["self-loop", "negative-length", "nan-length", "infinite-length",
             "sparse-node-ids", "sparse-link-ids", "unknown-endpoint",
-            "duplicate-pair", "mixed-slot-counts", "path-ends-elsewhere",
+            "duplicate-pair", "mixed-slot-counts", "one-node", "path-ends-elsewhere",
             "zero-bitrate", "nan-bitrate", "infinite-bitrate", "zero-reach",
-            "nan-reach", "colliding-bitrate-labels"])
+            "nan-reach", "colliding-bitrate-labels", "empty-catalog"])
     def test_error_starts_with_its_json_path(self, kind, text, prefix, fragments):
         with pytest.raises(ValidationError) as excinfo:
             if kind == "network":

@@ -393,7 +393,7 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             sweep_reports(base_config, [], first_fit)
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_workers_below_one_rejected(self, base_config, workers):
         with pytest.raises(ValueError, match="workers"):
-            sweep_reports(base_config, [18], first_fit, workers=workers)
+            sweep_reports(base_config, [18, 54, 90], first_fit, workers=workers)

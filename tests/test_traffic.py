@@ -121,7 +121,7 @@ class TestSampleBitrate:
 
     def test_empty_catalog(self):
         with pytest.raises(ValueError):
-            sample_bitrate(RngStreams().bitrate, eonsim.BitRateCatalog([]))
+            sample_bitrate(RngStreams().bitrate, ())
 
     def test_fixed_seed_reproduces_the_index_sequence(self, table_catalog):
         seq_a = [sample_bitrate(RngStreams(Seeds()).bitrate, table_catalog)
@@ -186,7 +186,7 @@ class TestPinnedToUniformIndex:
     def test_empty_catalog_message(self):
         with pytest.raises(ValueError,
                            match="^cannot sample from an empty bitrate catalog$"):
-            sample_bitrate(RngStreams().bitrate, eonsim.BitRateCatalog([]))
+            sample_bitrate(RngStreams().bitrate, ())
 
 
 class TestStreamIndependence:
@@ -285,3 +285,9 @@ class TestCatalogTypes:
             eonsim.BitRateCatalog([eonsim.BitRateEntry(10.0, "10", option),
                                    eonsim.BitRateEntry(40.0, "40", option),
                                    eonsim.BitRateEntry(10.0, "10.0", option)])
+
+    def test_catalog_rejects_one_label_for_two_entries(self):
+        option = (eonsim.ModulationOption("BPSK", 1, 1.0),)
+        with pytest.raises(ValueError, match=r"^bitrate label 'x' names two entries$"):
+            eonsim.BitRateCatalog([eonsim.BitRateEntry(10.0, "x", option),
+                                   eonsim.BitRateEntry(40.0, "x", option)])
