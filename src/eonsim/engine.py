@@ -1,10 +1,5 @@
 """Discrete-event core: pending arrival, departure heap, run loop, load sweeps.
 
-A simulator runs on its own copy of the configured network, taken when it
-is built: the same topology, with each link's grid as it was at that
-moment.  A run therefore never changes the caller's network, and one
-configuration serves any number of runs, aborted ones included.
-
 One arrival is pending at any moment; processing it schedules the next one
 until the configured number of requests has been dispatched, after which
 the remaining departures drain and every grid ends as it started.
@@ -13,19 +8,17 @@ holdings)`` tuples, one per live connection, so the heap is also the
 live-connection table.  The next event is the earliest departure (the
 lowest event id among equal times) unless the arrival is strictly earlier:
 spectrum is freed before a competing request is evaluated, so ties never
-inflate blocking.
-An event listener receives an :class:`Event` view built for it, and
-:attr:`Simulator.live_connections` is a snapshot built from the heap.
-An event is never before the clock: it is the clock plus a draw of
-:func:`~eonsim.traffic.next_exponential`, which is never negative.
+inflate blocking.  An event is never before the clock: it is the clock
+plus a draw of :func:`~eonsim.traffic.next_exponential`, never negative.
 
 Request plans (candidate routes, the bitrate entry and what the bundled
 search needs of them, see :func:`~eonsim.allocation.request_plan`) are
-built during :meth:`Simulator.run` on the first request for each (source,
-destination, bitrate) and reused for the rest of the run, never in
-:meth:`Simulator.init`.  A request can draw any ordered pair of distinct
-nodes, so ``init()`` raises :class:`~eonsim.errors.InvalidConfigError` for
-a pair without routes or with a route naming a link the network lacks.
+built in :meth:`Simulator.run` on the first request for each (source,
+destination, bitrate) and reused for the rest of the run.  A request can
+draw any ordered pair of distinct nodes, so :meth:`Simulator.init` raises
+:class:`~eonsim.errors.InvalidConfigError` for a pair without routes, or
+for a route that breaks :meth:`~eonsim.network.RouteSet.add_route`'s rule
+on the run's network or whose length there differs from its own.
 """
 
 from __future__ import annotations
@@ -48,6 +41,7 @@ from .errors import (
     EonSimError,
     InvalidConfigError,
     NoAllocatorSetError,
+    NoSuchLinkError,
     NotInitializedError,
     RunAbortedError,
 )
@@ -94,7 +88,8 @@ class SimulatorConfig:
     """Frozen bundle of everything one run needs.
 
     No run mutates it: each :class:`Simulator` works on its own copy of
-    ``network``, so a config can be reused after any run.
+    ``network``, so a config can be reused after any run, aborted ones
+    included.
     """
 
     network: Network
@@ -117,20 +112,17 @@ class Simulator:
     The configuration and the allocator are fixed at construction; an
     allocator that is not callable, ``None`` included, is rejected by
     :meth:`init`.  Construction copies ``config.network`` (topology and
-    current grids, O(links)) and
-    :attr:`config` holds that copy, so ``sim.config.network`` carries the
-    run's grids while the caller's network stays as it was; routes and
-    catalog are shared.  A simulator instance performs exactly one run;
-    :meth:`run` called again returns its report, or raises
-    :class:`RunAbortedError` if it aborted.
+    current grids, O(links)) and :attr:`config` holds that copy, so
+    ``sim.config.network`` carries the run's grids while the caller's
+    network stays as it was; routes and catalog are shared.  A simulator
+    instance performs exactly one run; :meth:`run` called again returns its
+    report, or raises :class:`RunAbortedError` if it aborted.
 
-    One pending arrival waits beside a heap of departures; the earliest
-    departure goes next unless the arrival is strictly earlier.
-    ``event_listener`` is called after each event with an :class:`Event`
-    view of it; :attr:`live_connections` is a snapshot built on read.
-    ``progress_every`` is ``None`` or an ``int`` of at least 0 (else
-    :class:`ValueError`); above 0, a header, a progress line every that many
-    requests and a summary go to ``sys.stdout``.
+    ``event_listener`` is ``None`` or a callable, called after each event
+    with an :class:`Event` view of it, and ``progress_every`` is ``None`` or
+    an ``int`` of at least 0 (else :class:`ValueError`); above 0, a header,
+    a progress line every that many requests and a summary go to
+    ``sys.stdout``.
     """
 
     def __init__(self, config: SimulatorConfig,
@@ -143,6 +135,9 @@ class Simulator:
                 type(progress_every) is int and progress_every >= 0):
             raise ValueError("progress_every must be None or an int of at "
                              f"least 0, got {progress_every!r}")
+        if event_listener is not None and not callable(event_listener):
+            raise ValueError("event_listener must be None or a callable, "
+                             f"got {event_listener!r}")
         network = config.network.fresh_copy()
         for own, given in zip(network.links, config.network.links):
             own._mask = given._mask  # keeps any background occupancy
@@ -200,18 +195,19 @@ class Simulator:
                 "a function such as eonsim.first_fit, or one from eonsim.ALGORITHMS")
         config = self._config
         network = config.network
-        top_link, top_pair = -1, None  # largest link id, first pair using it
         for pair in itertools.permutations(range(network.node_count), 2):
             routes = config.routes.routes_for(*pair)
             if not routes:
                 raise InvalidConfigError(f"no candidate routes for pair {pair}")
-            top = max(max(route.link_ids) for route in routes)
-            if top > top_link:
-                top_link, top_pair = top, pair
-        if top_link >= len(network.links):
-            raise InvalidConfigError(
-                f"a route of pair {top_pair} uses link {top_link}, but network "
-                f"{network.name!r} has links 0..{len(network.links) - 1}")
+            for index, route in enumerate(routes):
+                try:
+                    length = network._route_length(*pair, route.link_ids)
+                    if length != route.length_km:
+                        raise ValueError(f"{route.length_km} km when built, "
+                                         f"{length} km here")
+                except (ValueError, NoSuchLinkError) as err:
+                    raise InvalidConfigError(f"network {network.name!r}, route "
+                                             f"{index} of pair {pair}: {err}") from err
         self._streams = RngStreams(config.seeds)
         self._clock = 0.0
         self._report = SimulationReport(

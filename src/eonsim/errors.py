@@ -67,8 +67,8 @@ class NotInitializedError(EonSimError):
 
 
 class InvalidConfigError(EonSimError):
-    """The configuration cannot run: an empty network, route set or catalog,
-    a route naming a missing link, or a requested pair without routes."""
+    """The configuration cannot run: a pair of the network without routes, or
+    a route that does not run on it as it ran when it was added."""
 
 
 class RunAbortedError(EonSimError):

@@ -27,17 +27,10 @@ located :class:`~eonsim.errors.InputError`; no partially built model ever
 escapes.
 
 Each rule about values has one owner, a model constructor that raises
-:class:`ValueError`: ``Link`` (self-loop, slots, finite length),
-``Network`` (at least 2 nodes, dense ids, known endpoints, one link per
-directed pair, one slot count for all links), ``RouteSet.add_route`` (path
-starts at src, ends at dst, links chain, no link twice),
-``ModulationOption`` (slots, finite reach), ``BitRateEntry`` (finite
-bitrate, at least one option) and ``BitRateCatalog`` (at least one entry,
-no two labels with the same bitrate, no label twice); a missing hop is a
-``NoSuchLinkError`` from ``Network.link_by_endpoints``.  The parsers
-check only the document's shape (:class:`~eonsim.errors.SchemaError`; a
-key repeated within one JSON object is one, located at that object) and
-turn a model's rejection into a
+:class:`ValueError` or, for a missing hop, :class:`NoSuchLinkError` (the
+README's "Input files" lists them).  The parsers check only the document's
+shape (:class:`~eonsim.errors.SchemaError`; a key repeated within one JSON
+object is one, located at that object) and turn a model's rejection into a
 :class:`~eonsim.errors.ValidationError` that starts with the JSON path:
 ``links[i]``, ``routes[i].paths[j]``, ``bit_rates['label'][j]``, or
 ``network`` and ``bit_rates`` for rules over the whole document.

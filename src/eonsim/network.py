@@ -37,6 +37,8 @@ class Link:
     def __init__(self, id: int, src: int, dst: int, length_km: float, slot_count: int):
         if src == dst:
             raise ValueError(f"link {id} is a self-loop on node {src}")
+        if type(slot_count) is not int:
+            raise ValueError(f"link {id}: slots must be an int, got {slot_count!r}")
         if slot_count < 1:
             raise ValueError(f"link {id}: slots must be >= 1, got {slot_count}")
         if not (math.isfinite(length_km) and length_km >= 0):
@@ -182,6 +184,27 @@ class Network:
     def all_grids_free(self) -> bool:
         return all(link.occupied_count == 0 for link in self.links)
 
+    def _route_length(self, src: int, dst: int, link_ids: Sequence[int]) -> float:
+        """Length in km, summed in link order, of a route that starts at ``src``,
+        chains, ends at ``dst`` and repeats no link; raises at its first fault."""
+        links, at, last, length = self.links, src, None, 0.0
+        for link_id in link_ids:
+            link = links[link_id] if 0 <= link_id < len(links) else self.link(link_id)
+            if link.src != at:
+                if last is None:
+                    raise ValueError(f"route for ({src}, {dst}) starts at node "
+                                     f"{link.src}, not {src}")
+                raise ValueError(f"route for ({src}, {dst}): link {last} ends at "
+                                 f"{at} but link {link_id} starts at {link.src}")
+            if link_ids.count(link_id) > 1:
+                raise ValueError(f"route for ({src}, {dst}) uses link {link_id} "
+                                 "more than once")
+            length += link.length_km
+            at, last = link.dst, link_id
+        if at != dst:
+            raise ValueError(f"route for ({src}, {dst}) ends at node {at}, not {dst}")
+        return length
+
     def fresh_copy(self) -> "Network":
         """Same topology with brand-new, all-free occupancy grids."""
         links = [Link(l.id, l.src, l.dst, l.length_km, l.slot_count) for l in self.links]
@@ -211,32 +234,12 @@ class RouteSet:
         """Append a route built from explicit link ids, validating the chain.
 
         The links must chain from ``src`` to ``dst`` and no link may appear
-        twice: a connection holds one slot interval on every link of its
-        route, which would stage the same slots twice on a repeated link.
+        twice, since a connection holds one slot interval on each link of
+        its route; ``Simulator.init()`` checks the same on each run's network.
         """
         if not link_ids:
             raise ValueError(f"route for ({src}, {dst}) must contain at least one link")
-        links = [network.link(lid) for lid in link_ids]
-        if links[0].src != src:
-            raise ValueError(
-                f"route for ({src}, {dst}) starts at node {links[0].src}, not {src}"
-            )
-        if links[-1].dst != dst:
-            raise ValueError(
-                f"route for ({src}, {dst}) ends at node {links[-1].dst}, not {dst}"
-            )
-        for a, b in zip(links, links[1:]):
-            if a.dst != b.src:
-                raise ValueError(
-                    f"route for ({src}, {dst}): link {a.id} ends at {a.dst} but "
-                    f"link {b.id} starts at {b.src}"
-                )
-        repeated = [lid for i, lid in enumerate(link_ids) if lid in link_ids[:i]]
-        if repeated:
-            raise ValueError(
-                f"route for ({src}, {dst}) uses link {repeated[0]} more than once"
-            )
-        route = Route(tuple(link_ids), sum(l.length_km for l in links))
+        route = Route(tuple(link_ids), network._route_length(src, dst, link_ids))
         self._routes.setdefault((src, dst), []).append(route)
         return route
 

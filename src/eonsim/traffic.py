@@ -11,10 +11,11 @@ All distributions below are built on top of those two primitives.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class Seeds(NamedTuple):
@@ -82,6 +83,9 @@ class ModulationOption:
     reach_km: float
 
     def __post_init__(self):
+        if type(self.slot_count) is not int:
+            raise ValueError(f"modulation {self.modulation!r}: slots must be an "
+                             f"int, got {self.slot_count!r}")
         if self.slot_count < 1:
             raise ValueError(f"modulation {self.modulation!r}: slots must be >= 1, "
                              f"got {self.slot_count}")
@@ -102,20 +106,23 @@ class BitRateEntry:
             raise ValueError(f"bitrate {self.label!r} needs at least one option")
 
 
-class BitRateCatalog:
+class BitRateCatalog(Sequence):
     """Ordered bitrate entries; entry order matches the input document.
 
     At least one entry, no two with one label (they would share a report
     counter) or one bitrate: labels such as ``"10"`` and ``"10.0"`` would
-    otherwise make that bitrate twice as likely to be drawn.
+    otherwise make that bitrate twice as likely to be drawn.  The entries
+    cannot change once checked, and unpickling checks them again.
     """
 
+    __slots__ = ("_entries", "__weakref__")
+
     def __init__(self, entries: Sequence[BitRateEntry]):
-        self.entries = tuple(entries)
-        if not self.entries:
+        entries = tuple(entries)
+        if not entries:
             raise ValueError("a bitrate catalog needs at least one entry")
         labels = {}
-        for entry in self.entries:
+        for entry in entries:
             if entry.bitrate_gbps in labels:
                 raise ValueError(f"bitrate labels {labels[entry.bitrate_gbps]!r} "
                                  f"and {entry.label!r} both give "
@@ -123,15 +130,16 @@ class BitRateCatalog:
             if entry.label in labels.values():
                 raise ValueError(f"bitrate label {entry.label!r} names two entries")
             labels[entry.bitrate_gbps] = entry.label
+        self._entries = entries
+
+    def __reduce__(self):
+        return type(self), (self._entries,)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def __getitem__(self, index: int) -> BitRateEntry:
-        return self.entries[index]
-
-    def __iter__(self):
-        return iter(self.entries)
+        return self._entries[index]
 
 
 _INF = math.inf

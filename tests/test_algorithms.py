@@ -356,7 +356,7 @@ class TestSearchAgainstBruteForce:
             self.fragment(network, rng)
             for _ in range(10):
                 src, dst = rng.choice(pairs)
-                entry = rng.choice(table_catalog.entries)
+                entry = rng.choice(table_catalog)
                 high = entry.bitrate_gbps >= 100.0
                 pickers = {
                     first_fit: brute_first,

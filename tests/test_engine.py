@@ -94,14 +94,15 @@ class TestInit:
 
     def test_route_set_naming_a_missing_link_rejected(self, nsfnet_routes,
                                                       table_catalog):
-        # The NSFNet routes use links up to 41; a 14-node ring has 28.
+        # The NSFNet routes use links up to 41; a 14-node ring has 28.  Its
+        # link 0 -> 1 is link 0, as on NSFNet, but 100 km long, not 1050.
         ring = eonsim.Network.build("ring", 14, [
             (a, b, 100.0, 320) for i in range(14)
             for a, b in ((i, (i + 1) % 14), ((i + 1) % 14, i))])
         sim = Simulator(SimulatorConfig(network=ring, routes=nsfnet_routes,
                                         catalog=table_catalog), first_fit)
-        with pytest.raises(InvalidConfigError, match=r"a route of pair \(0, 12\) "
-                           r"uses link 41, but network 'ring' has links 0\.\.27"):
+        with pytest.raises(InvalidConfigError, match=r"^network 'ring', route 0 of "
+                           r"pair \(0, 1\): 1050\.0 km when built, 100\.0 km here$"):
             sim.init()
         with pytest.raises(NotInitializedError):
             sim.run()
@@ -124,10 +125,44 @@ class TestInit:
             Simulator(SimulatorConfig(network=star, routes=route_set,
                                       catalog=one_slot_catalog), first_fit).init()
 
-        with pytest.raises(InvalidConfigError, match=r"a route of pair \(0, 2\) "
-                           r"uses link 4, but network 'star' has links 0\.\.3"):
+        with pytest.raises(InvalidConfigError, match=r"^network 'star', route 1 of "
+                           r"pair \(0, 2\): .*no link with id 4$"):
             init(routes)
         init(routes.truncated(1))
+
+    @staticmethod
+    def nsfnet_with(name, links):
+        return eonsim.Network.build(name, 14, [
+            (link.src, link.dst, link.length_km, link.slot_count) for link in links])
+
+    def test_routes_on_relabelled_links_rejected(self, nsfnet_template,
+                                                 nsfnet_routes, table_catalog):
+        # The same 42 link ids, but link i has the endpoints of link 41 - i:
+        # route 0 of (0, 1) is link 0, which now runs 13 -> 12.
+        rev = self.nsfnet_with("rev", reversed(nsfnet_template.links))
+        sim = Simulator(SimulatorConfig(network=rev, routes=nsfnet_routes,
+                                        catalog=table_catalog), first_fit)
+        with pytest.raises(InvalidConfigError, match=(
+                r"^network 'rev', route 0 of pair \(0, 1\): route for \(0, 1\) "
+                r"starts at node 13, not 0$")):
+            sim.init()
+        with pytest.raises(NotInitializedError):
+            sim.run()
+
+    def test_routes_on_a_longer_link_rejected(self, nsfnet_template,
+                                              nsfnet_routes, table_catalog):
+        # Link 41 (13 -> 12) 1 km longer: the first route over it is route 2
+        # of (0, 12), whose reach filter would read the stale length.
+        links = list(nsfnet_template.links)
+        last = links[-1]
+        links[-1] = eonsim.Link(last.id, last.src, last.dst, last.length_km + 1,
+                                last.slot_count)
+        longer = self.nsfnet_with("longer", links)
+        with pytest.raises(InvalidConfigError, match=(
+                r"^network 'longer', route 2 of pair \(0, 12\): 4350\.0 km when "
+                r"built, 4351\.0 km here$")):
+            Simulator(SimulatorConfig(network=longer, routes=nsfnet_routes,
+                                      catalog=table_catalog), first_fit).init()
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="^a bitrate catalog needs at least "
@@ -645,6 +680,13 @@ class TestProgressOutput:
                                              r"int of at least 0, got "):
             Simulator(pair_config(), always_blocked, progress_every=progress_every)
 
+    @pytest.mark.parametrize("listener", [42, "print"], ids=["int", "str"])
+    def test_event_listener_is_none_or_a_callable(self, pair_config, listener):
+        # 42 used to pass init() and fail run() after its first request.
+        with pytest.raises(ValueError, match=r"event_listener must be None or a "
+                                             r"callable, got "):
+            Simulator(pair_config(), always_blocked, event_listener=listener)
+
     def test_interim_probability_matches_counts(self, pair_config, capsys):
         calls = []
 
@@ -834,10 +876,8 @@ class TestRunPlans:
             return {stop - start for _, _, _, staged in placements
                     for _, start, stop in staged}
 
-        catalog = eonsim.BitRateCatalog(entries(2))
-        assert widths(catalog) == {2}
-        catalog.entries = entries(3)
-        assert widths(catalog) == {3}
+        assert widths(eonsim.BitRateCatalog(entries(2))) == {2}
+        assert widths(eonsim.BitRateCatalog(entries(3))) == {3}
 
     def test_other_slot_counts_get_their_own_plans(self, monkeypatch):
         narrow = self.triangle(8)

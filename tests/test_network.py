@@ -120,6 +120,13 @@ class TestLinkConstruction:
     def test_zero_slots_rejected(self):
         with pytest.raises(ValueError):
             eonsim.Link(0, 0, 1, 1.0, 0)
+        # A non-int count used to load and then fail run() with a TypeError.
+        for slots in (8.0, True, "8"):
+            with pytest.raises(ValueError, match=r"^link 0: slots must be an int, "
+                                                 f"got {re.escape(repr(slots))}$"):
+                eonsim.Link(0, 0, 1, 1.0, slots)
+        with pytest.raises(ValueError, match="slots must be an int, got 8.0"):
+            eonsim.Network.build("f", 2, [(0, 1, 1.0, 8.0), (1, 0, 1.0, 8.0)])
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -194,7 +201,7 @@ class TestRoutes:
 
     @pytest.mark.parametrize("src, dst, link_ids, message", [
         (1, 2, [0, 2], r"^route for \(1, 2\) starts at node 0, not 1$"),
-        (0, 2, [0, 3], r"^route for \(0, 2\) ends at node 1, not 2$"),
+        (0, 2, [0], r"^route for \(0, 2\) ends at node 1, not 2$"),
     ], ids=["starts", "ends"])
     def test_route_endpoints_must_match(self, chain_net, src, dst, link_ids,
                                         message):

@@ -1,5 +1,6 @@
 import math
 import numbers
+import pickle
 from collections import Counter
 
 import pytest
@@ -256,6 +257,11 @@ class TestCatalogTypes:
     def test_zero_slot_option_rejected(self):
         with pytest.raises(ValueError):
             eonsim.ModulationOption("BPSK", 0, 100.0)
+        # A non-int count used to fail the run, blamed on the allocator.
+        for slots in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match=r"^modulation 'BPSK': slots must "
+                                                 f"be an int, got {slots!r}$"):
+                eonsim.ModulationOption("BPSK", slots, 100.0)
 
     def test_entry_needs_options(self):
         with pytest.raises(ValueError):
@@ -291,3 +297,29 @@ class TestCatalogTypes:
         with pytest.raises(ValueError, match=r"^bitrate label 'x' names two entries$"):
             eonsim.BitRateCatalog([eonsim.BitRateEntry(10.0, "x", option),
                                    eonsim.BitRateEntry(40.0, "x", option)])
+
+    def test_catalog_cannot_change_once_checked(self):
+        # Reassigning the entries used to skip every check: two "10" entries
+        # shared one counter, and () failed the run's first request.
+        option = (eonsim.ModulationOption("BPSK", 1, 1.0),)
+        entry = eonsim.BitRateEntry(10.0, "10", option)
+        catalog = eonsim.BitRateCatalog([entry])
+        with pytest.raises(AttributeError):
+            catalog.entries = (entry, entry)
+        assert (len(catalog), catalog[0], tuple(catalog)) == (1, entry, (entry,))
+
+    def test_pickled_catalog_is_checked_again(self, nsfnet, nsfnet_routes,
+                                              table_catalog):
+        assert tuple(pickle.loads(pickle.dumps(table_catalog))) == tuple(table_catalog)
+        broken = pickle.loads(pickle.dumps(table_catalog))
+        broken._entries += broken._entries[:1]
+        with pytest.raises(ValueError, match="both give 10 Gbps"):
+            pickle.loads(pickle.dumps(broken))
+        # sweep_reports pickles the catalog to its workers.
+        config = eonsim.SimulatorConfig(
+            network=nsfnet, routes=nsfnet_routes, catalog=table_catalog,
+            profile=TrafficProfile(departure_rate=10.0, goal_connections=2000))
+        serial, pooled = (eonsim.sweep_reports(config, [180, 1500], eonsim.first_fit,
+                                               workers=workers) for workers in (1, 2))
+        assert [report.per_bitrate for report in pooled] == [
+            report.per_bitrate for report in serial]
