@@ -316,7 +316,8 @@ class AllocationContext:
         """Engine-internal: validate and occupy all staged ranges atomically.
 
         Raises :class:`CommitConflictError` if any staged range is no longer
-        free, and — in strict-audit mode — :class:`AuditViolationError` if
+        free, :class:`AllocatorFaultError` if a staged bound is not an
+        ``int``, and — in strict-audit mode — :class:`AuditViolationError` if
         nothing is staged, or if the staged ranges are not contiguous per
         link or do not span the identical interval on every staged link.
         On any error the live grids are left bit-identical to their prior
@@ -333,16 +334,21 @@ class AllocationContext:
         staged = self._staged
         # Bounds were checked at staging and staged ranges on one link never
         # overlap, so testing every range against the live masks before
-        # setting any makes the commit all-or-nothing.
-        for link_id, start, stop in staged:
-            link = links[link_id]
-            if link._mask & (((1 << (stop - start)) - 1) << start):
-                try:
-                    link.occupy_slots(start, stop)  # refuses, touching nothing
-                except AlreadyOccupiedError as err:
-                    raise CommitConflictError(
-                        f"staged range is no longer free at commit time: {err}"
-                    ) from err
+        # setting any makes the commit all-or-nothing.  A non-int bound
+        # fails the mask arithmetic of this test, before any bit is set.
+        try:
+            for link_id, start, stop in staged:
+                link = links[link_id]
+                if link._mask & (((1 << (stop - start)) - 1) << start):
+                    try:
+                        link.occupy_slots(start, stop)  # refuses, touching nothing
+                    except AlreadyOccupiedError as err:
+                        raise CommitConflictError(
+                            f"staged range is no longer free at commit time: {err}"
+                        ) from err
+        except TypeError as err:
+            raise AllocatorFaultError(f"staged [{start!r}, {stop!r}) on link "
+                                      f"{link_id}: slot bounds must be int") from err
         for link_id, start, stop in staged:
             links[link_id]._mask |= ((1 << (stop - start)) - 1) << start
         holdings = tuple(staged)

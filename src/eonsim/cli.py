@@ -105,9 +105,8 @@ def main(argv=None) -> int:
         reports = sweep_reports(config, lambdas, ALGORITHMS[args.algorithm],
                                 algorithm_name=args.algorithm,
                                 workers=args.workers, progress_every=progress)
-        results = [(report.erlang, report.blocking_probability)
-                   for report in reports]
-        write_dat(results, args.out)
+        table = write_dat([(report.erlang, report.blocking_probability)
+                           for report in reports], args.out)
     except (EonSimError, OSError, ValueError) as err:
         print(f"eonsim: {err}", file=sys.stderr)
         return 1
@@ -115,8 +114,7 @@ def main(argv=None) -> int:
         for report in reports:
             for line in report.per_bitrate_lines():
                 print(line)
-    for erlang, blocking in results:
-        print(f"{erlang:g} {blocking:.6e}")
+    print(table, end="")
     print(f"wrote {args.out}")
     return 0
 

@@ -40,7 +40,6 @@ from .errors import (
     AlreadyInitializedError,
     EonSimError,
     InvalidConfigError,
-    NoAllocatorSetError,
     NoSuchLinkError,
     NotInitializedError,
     RunAbortedError,
@@ -109,28 +108,31 @@ class Simulator:
         sim.init()
         report = sim.run()
 
-    The configuration and the allocator are fixed at construction; an
-    allocator that is not callable, ``None`` included, is rejected by
-    :meth:`init`.  Construction copies ``config.network`` (topology and
-    current grids, O(links)) and :attr:`config` holds that copy, so
-    ``sim.config.network`` carries the run's grids while the caller's
-    network stays as it was; routes and catalog are shared.  A simulator
-    instance performs exactly one run; :meth:`run` called again returns its
-    report, or raises :class:`RunAbortedError` if it aborted.
+    The configuration and the allocator are fixed at construction.
+    Construction copies ``config.network`` (topology and current grids,
+    O(links)) and :attr:`config` holds that copy, so ``sim.config.network``
+    carries the run's grids while the caller's network stays as it was;
+    routes and catalog are shared.  A simulator instance performs exactly
+    one run; :meth:`run` called again returns its report, or raises
+    :class:`RunAbortedError` if it aborted.
 
-    ``event_listener`` is ``None`` or a callable, called after each event
-    with an :class:`Event` view of it, and ``progress_every`` is ``None`` or
-    an ``int`` of at least 0 (else :class:`ValueError`); above 0, a header,
-    a progress line every that many requests and a summary go to
-    ``sys.stdout``.
+    ``allocator`` is a callable, ``event_listener`` is ``None`` or a
+    callable, called after each event with an :class:`Event` view of it,
+    and ``progress_every`` is ``None`` or an ``int`` of at least 0; anything
+    else raises :class:`ValueError` here.  Above 0, a header, a progress
+    line every that many requests and a summary go to ``sys.stdout``.
     """
 
     def __init__(self, config: SimulatorConfig,
-                 allocator: Callable[[AllocationContext], object] | None,
+                 allocator: Callable[[AllocationContext], object],
                  *,
                  algorithm_name: str | None = None,
                  progress_every: int | None = None,
                  event_listener: Callable[["Simulator", Event], None] | None = None):
+        if not callable(allocator):
+            raise ValueError(
+                f"the allocator must be callable, got {allocator!r}; pass a "
+                "function such as eonsim.first_fit, or one from eonsim.ALGORITHMS")
         if progress_every is not None and not (
                 type(progress_every) is int and progress_every >= 0):
             raise ValueError("progress_every must be None or an int of at "
@@ -189,10 +191,6 @@ class Simulator:
         """Check every pair's routes, zero the clock, schedule the first arrival."""
         if self._state != "new":
             raise AlreadyInitializedError("init() may only be called once")
-        if not callable(self._allocator):
-            raise NoAllocatorSetError(
-                f"the allocator must be callable, got {self._allocator!r}; pass "
-                "a function such as eonsim.first_fit, or one from eonsim.ALGORITHMS")
         config = self._config
         network = config.network
         for pair in itertools.permutations(range(network.node_count), 2):
@@ -304,9 +302,6 @@ class Simulator:
                     ctx._sealed = False
                     try:
                         holdings = ctx.commit_staged()
-                    except TypeError as err:
-                        raise _non_integer_bound(self._algorithm_name,
-                                                 ctx.staged) from err
                     finally:
                         ctx._sealed = True
                     departs = clock + draw_exponential(departure_stream,
@@ -348,15 +343,6 @@ def _allocator_name(allocator) -> str:
         name = f"{_allocator_name(allocator.func)}({','.join(bound)})"
         return "".join(name.split())
     return getattr(allocator, "__name__", "unnamed")
-
-
-def _non_integer_bound(algorithm_name: str, staged) -> AllocatorFaultError:
-    # The mask arithmetic of commit_staged fails on a non-int bound before it
-    # sets any bit, so every grid is as it was.
-    link_id, start, stop = next(item for item in staged if not (
-        isinstance(item[1], int) and isinstance(item[2], int)))
-    return AllocatorFaultError(f"allocator {algorithm_name!r} staged [{start!r}, "
-                               f"{stop!r}) on link {link_id}: slot bounds must be int")
 
 
 def _sweep_run(config, allocator, algorithm_name, progress_every, pooled, profile):

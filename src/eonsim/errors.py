@@ -2,7 +2,8 @@
 
 Every error the library signals deliberately derives from :class:`EonSimError`,
 so callers can catch the whole family with one clause; a bad argument to a
-model constructor, a traffic sampler or ``progress_every`` is a built-in
+model constructor (``Simulator``'s allocator, ``progress_every`` and
+``event_listener`` included) or a traffic sampler is a built-in
 :class:`ValueError`.
 There is one class per failure a caller handles differently.
 """
@@ -53,10 +54,6 @@ class AuditViolationError(AllocatorFaultError):
 
 
 # -- simulator lifecycle -------------------------------------------------------
-
-class NoAllocatorSetError(EonSimError):
-    """init() found that the simulator's allocator is not callable, or ``None``."""
-
 
 class AlreadyInitializedError(EonSimError):
     """init() was called a second time."""

@@ -39,7 +39,6 @@ object is one, located at that object) and turn a model's rejection into a
 from __future__ import annotations
 
 import json
-import logging
 from pathlib import Path
 
 from .errors import (
@@ -50,8 +49,6 @@ from .errors import (
 )
 from .network import Link, Network, RouteSet
 from .traffic import BitRateCatalog, BitRateEntry, ModulationOption
-
-LOGGER = logging.getLogger(__name__)
 
 _NETWORK_FIELDS = {"name", "nodes", "links"}
 _NODE_FIELDS = {"id"}
@@ -141,7 +138,10 @@ def _require(mapping, key, kind, path):
 def _warn_unknown(mapping, known, path):
     for key in mapping:
         if key not in known:
-            LOGGER.warning("%s: ignoring unknown field %r", path, key)
+            # Imported here: a document without unknown fields never needs it.
+            import logging
+            logging.getLogger(__name__).warning(
+                "%s: ignoring unknown field %r", path, key)
 
 
 def _build(path, make, *args):
@@ -225,7 +225,7 @@ def parse_bit_rates(text: str) -> BitRateCatalog:
             reach = _require(option_doc, "reach", float, where)
             _warn_unknown(option_doc, _OPTION_FIELDS, where)
             options.append(_build(where, ModulationOption, modulation, slots, reach))
-        entries.append(_build(path, BitRateEntry, bitrate, label, tuple(options)))
+        entries.append(_build(path, BitRateEntry, bitrate, label, options))
     return _build("bit_rates", BitRateCatalog, entries)
 
 

@@ -87,16 +87,16 @@ class SimulationReport:
         return lines
 
 
-def write_dat(results, path) -> None:
+def write_dat(results, path) -> str:
     """Write a plot-ready table: one ``<erlang> <blocking>`` row per load.
 
     Blocking is written with seven significant digits; a blocking of zero is
-    recorded as zero, never clipped.  Refuses empty results without creating
-    the file.
+    recorded as zero, never clipped.  Returns the text written.  Refuses
+    empty results without creating the file.
     """
-    rows = list(results)
-    if not rows:
+    text = "".join(f"{erlang:g} {blocking:.6e}\n" for erlang, blocking in results)
+    if not text:
         raise ValueError("no sweep results to write")
     with open(path, "w", encoding="utf-8") as handle:
-        for erlang, blocking in rows:
-            handle.write(f"{erlang:g} {blocking:.6e}\n")
+        handle.write(text)
+    return text

@@ -102,6 +102,8 @@ class BitRateEntry:
 
     def __post_init__(self):
         _check_positive("bitrate", self.bitrate_gbps)
+        # A copy, so that the caller's list can no longer change the entry.
+        object.__setattr__(self, "options", tuple(self.options or ()))
         if not self.options:
             raise ValueError(f"bitrate {self.label!r} needs at least one option")
 

@@ -65,30 +65,15 @@ def bundle():
     }
 
 
-@pytest.fixture(scope="module")
-def grid_runs(bundle):
-    """27 runs: every algorithm x scenario x load, goal 1e5, same seeds."""
-    runs = {}
-    for alg, scenario, lam in itertools.product(ALGS, SCENARIOS, LAMBDAS):
-        route_key, catalog_key = scenario.split("-")
-        config = SimulatorConfig(
-            network=bundle["network"],
-            routes=bundle["routes"][route_key],
-            catalog=bundle["catalogs"][catalog_key],
-            profile=TrafficProfile(arrival_rate=lam, departure_rate=10,
-                                   goal_connections=GOAL_GRID))
-        sim = Simulator(config, eonsim.ALGORITHMS[alg], algorithm_name=alg)
-        sim.init()
-        report = sim.run()
-        runs[(alg, scenario, lam)] = {
-            "report": report,
-            "drained": sim.config.network.all_grids_free(),
-        }
-    return runs
+def run_to_drain(config, algorithm):
+    """One run, in a pool worker: its report and whether its grids drained."""
+    sim = Simulator(config, eonsim.ALGORITHMS[algorithm], algorithm_name=algorithm)
+    sim.init()
+    report = sim.run()
+    return {"report": report, "drained": sim.config.network.all_grids_free()}
 
 
-@pytest.fixture(scope="module")
-def loss_system_run():
+def loss_system_config():
     """Symmetric 2-node network, 10 slots per directed link, goal 1e6.
 
     Source/destination sampling is uniform over the two ordered pairs, so
@@ -102,14 +87,50 @@ def loss_system_run():
     routes.add_node_path(network, [1, 0])
     catalog = eonsim.BitRateCatalog([eonsim.BitRateEntry(
         10.0, "10", (eonsim.ModulationOption("BPSK", 1, 1e9),))])
-    config = SimulatorConfig(
+    return SimulatorConfig(
         network=network, routes=routes, catalog=catalog,
         profile=TrafficProfile(arrival_rate=100.0, departure_rate=10.0,
                                goal_connections=1_000_000))
-    sim = Simulator(config, eonsim.first_fit, algorithm_name="FF")
-    sim.init()
-    report = sim.run()
-    return {"report": report, "drained": sim.config.network.all_grids_free()}
+
+
+@pytest.fixture(scope="module")
+def pooled_runs(bundle):
+    """The loss-system run and the grid runs, queued on a 2-process pool.
+
+    The longest run goes first.  The pool is shut down at the end of the
+    module, and a run still queued then, as after a failed run, is
+    cancelled.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=2)
+    try:
+        loss = pool.submit(run_to_drain, loss_system_config(), "FF")
+        grid = {}
+        for alg, scenario, lam in itertools.product(ALGS, SCENARIOS, LAMBDAS):
+            route_key, catalog_key = scenario.split("-")
+            config = SimulatorConfig(
+                network=bundle["network"],
+                routes=bundle["routes"][route_key],
+                catalog=bundle["catalogs"][catalog_key],
+                profile=TrafficProfile(arrival_rate=lam, departure_rate=10,
+                                       goal_connections=GOAL_GRID))
+            grid[(alg, scenario, lam)] = pool.submit(run_to_drain, config, alg)
+        yield loss, grid
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def grid_runs(pooled_runs):
+    """27 runs: every algorithm x scenario x load, goal 1e5, same seeds."""
+    return {key: future.result() for key, future in pooled_runs[1].items()}
+
+
+@pytest.fixture(scope="module")
+def loss_system_run(pooled_runs):
+    """FF on :func:`loss_system_config`."""
+    return pooled_runs[0].result()
 
 
 # -- criteria -------------------------------------------------------------------

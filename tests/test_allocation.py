@@ -3,6 +3,7 @@ import pytest
 import eonsim
 from eonsim import ALLOCATED, NOT_ALLOCATED, AllocationContext
 from eonsim.errors import (
+    AllocatorFaultError,
     AuditViolationError,
     CommitConflictError,
     NoSuchLinkError,
@@ -241,8 +242,26 @@ class TestCommit:
             chain_ctx.commit_staged()
         assert chain_net.links[0].occupied_count == 0
 
+    @pytest.mark.parametrize("strict_audit", [True, False])
+    def test_non_integer_bound_is_an_allocator_fault(self, chain_net, chain_routes,
+                                                     one_slot_catalog, strict_audit):
+        # The fault is the context's to report, not the engine's, so a
+        # context built by hand raises it too.
+        chain_net.links[1].occupy_slots(0, 3)
+        before = [link.occupancy for link in chain_net.links]
+        ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0],
+                       strict_audit=strict_audit)
+        ctx.alloc_slots(0, 2, 4)
+        ctx.alloc_slots(2, 2.0, 4)
+        with pytest.raises(AllocatorFaultError) as excinfo:
+            ctx.commit_staged()
+        assert type(excinfo.value) is AllocatorFaultError
+        assert str(excinfo.value) == ("staged [2.0, 4) on link 2: "
+                                      "slot bounds must be int")
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        assert [link.occupancy for link in chain_net.links] == before
+
     def test_conflict_and_violation_are_allocator_faults(self):
-        from eonsim.errors import AllocatorFaultError
         assert issubclass(CommitConflictError, AllocatorFaultError)
         assert issubclass(AuditViolationError, AllocatorFaultError)
 

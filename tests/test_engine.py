@@ -22,7 +22,6 @@ from eonsim.errors import (
     AuditViolationError,
     CommitConflictError,
     InvalidConfigError,
-    NoAllocatorSetError,
     NotInitializedError,
     RunAbortedError,
 )
@@ -77,9 +76,8 @@ class TestInit:
         with pytest.raises(TypeError):
             Simulator(pair_config())
         for allocator in (None, "FF"):
-            sim = Simulator(pair_config(), allocator)
-            with pytest.raises(NoAllocatorSetError, match=r"eonsim\.ALGORITHMS"):
-                sim.init()
+            with pytest.raises(ValueError, match=r"eonsim\.ALGORITHMS"):
+                Simulator(pair_config(), allocator)
 
     def test_config_is_frozen(self, pair_config):
         config = pair_config()
@@ -441,8 +439,8 @@ class TestAllocatorFaults:
         with pytest.raises(AllocatorFaultError) as excinfo:
             sim.run()
         assert str(excinfo.value) == (
-            f"allocator 'midpoint_fit' staged [{start!r}, {stop!r}) on link "
-            f"{seen[-1]}: slot bounds must be int")
+            f"staged [{start!r}, {stop!r}) on link {seen[-1]}: "
+            "slot bounds must be int")
         assert isinstance(excinfo.value.__cause__, TypeError)
         assert sim.report.accepted == 4
         assert [link.occupancy for link in sim.config.network.links] == seen[-2]

@@ -24,10 +24,9 @@ PUBLIC_NAMES = [
 ERROR_CLASSES = [
     "AllocatorFaultError", "AlreadyInitializedError", "AlreadyOccupiedError",
     "AuditViolationError", "CommitConflictError", "EonSimError", "InputError",
-    "InvalidConfigError", "MalformedDocumentError", "NoAllocatorSetError",
-    "NoSuchLinkError", "NotInitializedError", "NotOccupiedError",
-    "OutOfBoundsError", "RunAbortedError", "SchemaError", "StagedOverlapError",
-    "ValidationError",
+    "InvalidConfigError", "MalformedDocumentError", "NoSuchLinkError",
+    "NotInitializedError", "NotOccupiedError", "OutOfBoundsError",
+    "RunAbortedError", "SchemaError", "StagedOverlapError", "ValidationError",
 ]
 
 

@@ -22,7 +22,7 @@ from eonsim import (
     write_dat,
 )
 from eonsim.algorithms import first_free_block, intersection_grid, modulation_options
-from eonsim.errors import AllocatorFaultError, EonSimError, NoAllocatorSetError
+from eonsim.errors import AllocatorFaultError, EonSimError
 
 
 def make_report(**kwargs):
@@ -106,7 +106,7 @@ class TestWriteDat:
     def test_many_rows_ascending(self, tmp_path):
         path = tmp_path / "out.dat"
         results = [(lam / 10, lam / 2000) for lam in range(18, 181, 18)]
-        write_dat(results, path)
+        assert write_dat(results, path) == path.read_text()
         lines = path.read_text().splitlines()
         assert len(lines) == 10
         erlangs = [float(line.split()[0]) for line in lines]
@@ -231,9 +231,10 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_unknown_algorithm(self, base_config, capsys):
-        # A registry name is not an allocator: the first run's init() rejects
-        # it before any request, and the message says where the names are.
-        with pytest.raises(NoAllocatorSetError, match=r"eonsim\.ALGORITHMS"):
+        # A registry name is not an allocator: the first run's Simulator
+        # rejects it before any request, and the message says where the
+        # names are.
+        with pytest.raises(ValueError, match=r"eonsim\.ALGORITHMS"):
             sweep_reports(base_config, [18, 90], "FF", progress_every=100)
         assert capsys.readouterr().out == ""
 

@@ -6,7 +6,9 @@ the five grid calls (``Link.occupancy``, ``LinkView.occupancy``,
 ``intersection_grid``, ``first_free_block`` and ``exact_free_block``, all on
 ``int`` bitmasks) need only the standard library.  The process pool is
 needed only by ``sweep_reports`` with more than one worker and more than one
-load, and is imported on first use.
+load, and is imported on first use.  ``logging`` is imported only to warn
+about an unknown field of a document, so importing eonsim, parsing the
+bundled documents, a simulation and a serial CLI run never load it.
 
 Each check runs in a new interpreter, because this test process has long
 since imported eonsim and whatever pytest loads.  The hidden-numpy guard sets
@@ -27,7 +29,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules a simulation never touches; importing any of them costs start-up.
-HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
+HEAVY = ("numpy", "concurrent.futures", "multiprocessing", "logging")
 
 PRELUDE = f"""
 import json, sys

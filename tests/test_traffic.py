@@ -267,6 +267,29 @@ class TestCatalogTypes:
         with pytest.raises(ValueError):
             eonsim.BitRateEntry(10.0, "10", ())
 
+    def test_entry_keeps_its_options_when_the_callers_list_changes(
+            self, pair_net, pair_routes):
+        # Sharing the caller's list would let it be emptied after the check,
+        # which the catalog and init() do not repeat: every request blocks.
+        options = [eonsim.ModulationOption("BPSK", 1, 1e9)]
+        entry = eonsim.BitRateEntry(10.0, "10", options)
+        options.clear()
+        assert entry.options == (eonsim.ModulationOption("BPSK", 1, 1e9),)
+
+        def blocked(entry):
+            config = eonsim.SimulatorConfig(
+                network=pair_net, routes=pair_routes,
+                catalog=eonsim.BitRateCatalog([entry]),
+                profile=TrafficProfile(arrival_rate=100.0, departure_rate=10.0,
+                                       goal_connections=1000))
+            sim = eonsim.Simulator(config, eonsim.first_fit)
+            sim.init()
+            return sim.run().blocked
+
+        built_from_tuple = eonsim.BitRateEntry(
+            10.0, "10", (eonsim.ModulationOption("BPSK", 1, 1e9),))
+        assert 0 < blocked(entry) == blocked(built_from_tuple) < 1000
+
     def test_non_positive_bitrate_rejected(self):
         with pytest.raises(ValueError):
             eonsim.BitRateEntry(0.0, "0", (eonsim.ModulationOption("BPSK", 1, 1.0),))
