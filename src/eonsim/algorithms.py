@@ -2,12 +2,12 @@
 
 All three share one search: OR the route's link grids into a joint
 occupancy (a slot is free only if free on every link), find a placement of
-the required width in it, and stage the winning interval on each link of
-the route.  Routes are tried in their file order; within a route, the
-modulation options admissible for the route length are tried
-fewest-slots-first.  Because the same interval is staged on every link,
-accepted connections satisfy the continuity and contiguity constraints by
-construction.
+the required width in it, and stage the winning interval on every link of
+the route with one :meth:`~eonsim.allocation.AllocationContext.place`.
+Routes are tried in their file order; within a route, the modulation
+options admissible for the route length are tried fewest-slots-first.
+Because the same interval is staged on every link, accepted connections
+satisfy the continuity and contiguity constraints by construction.
 
 Grids are ``int`` bitmasks (see :mod:`eonsim.network`), and the search
 reads the request's memoised plan (:class:`~eonsim.allocation.RoutePlan`)
@@ -160,7 +160,7 @@ def _search_routes(ctx: AllocationContext, direction: SearchDirection,
                    exact_first: bool) -> Verdict:
     high_to_low = direction is SearchDirection.HIGH_TO_LOW
     links = ctx._network.links
-    for plan in ctx._search_plan():
+    for route, plan in enumerate(ctx._search_plan()):
         if not plan.schedules:
             continue
         free = plan.all_slots ^ _route_occupied(plan.link_ids, links)
@@ -175,8 +175,7 @@ def _search_routes(ctx: AllocationContext, direction: SearchDirection,
                 start = windows.bit_length() - 1
             else:
                 start = _lowest(windows)
-            for link_id in plan.link_ids:
-                ctx.alloc_slots(link_id, start, start + size)
+            ctx.place(route, start, size)
             return ALLOCATED
     return NOT_ALLOCATED
 

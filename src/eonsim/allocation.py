@@ -3,9 +3,10 @@
 An allocation algorithm is a plain callable ``(context) -> verdict`` invoked
 once per connection request.  Through the context it can read the candidate
 routes for the requested node pair, inspect link grids, read the sampled
-bitrate's modulation options, and *stage* slot ranges with
-:meth:`AllocationContext.alloc_slots`.  Staging never touches the live
-grids: only when the callback returns :data:`ALLOCATED` does the engine
+bitrate's modulation options, and *stage* slot ranges: one interval on every
+link of a candidate route with :meth:`AllocationContext.place`, or range by
+range with :meth:`AllocationContext.alloc_slots`.  Staging never touches the
+live grids: only when the callback returns :data:`ALLOCATED` does the engine
 commit the staged ranges (atomically, after validating them); on
 :data:`NOT_ALLOCATED` everything staged is discarded.  That makes the
 returned verdict authoritative — a rejected request can never leak slots.
@@ -30,12 +31,23 @@ A minimal algorithm looks like::
 With strict auditing enabled (the default), commits additionally enforce the
 two defining spectrum constraints: the staged slots on each link must form
 one contiguous block, and every link of the connection must use the same
-slot interval.  An accepted request must also have staged something.
+slot interval.  An accepted request must also have staged something.  A
+placement meets both by construction, so its commit skips the audit.
 
-The bundled search reads a precomputed :class:`RoutePlan` per candidate
-route: link ids, the distinct admissible slot widths with their shift
-schedules, and the all-slots mask.  The engine builds the plans of each
-(source, destination, bitrate) on first use in a run.
+The bundled search and :meth:`AllocationContext.place` read a precomputed
+:class:`RoutePlan` per candidate route: link ids, the distinct admissible
+slot widths with their shift schedules, and the all-slots mask.  The engine
+builds the plans of each (source, destination, bitrate) on first use in a
+run.
+
+The engine's commit returns a connection's holdings as ``(link_ids, bits)``
+pairs in staging order, ``bits`` having the staged slots set: one pair for a
+placement, with the route's link ids, and one per :meth:`alloc_slots` range,
+with its one link id.  The engine releases them with one mask operation per
+link.  Read as ``(link_id, start, stop)`` triples
+(:attr:`AllocationContext.staged`, :meth:`AllocationContext.commit_staged`,
+:attr:`~eonsim.engine.ConnectionRecord.holdings`), they are expanded by
+:func:`_ranges`.
 """
 
 from __future__ import annotations
@@ -178,7 +190,7 @@ class AllocationContext:
     """Everything one allocation callback may see and do for one request."""
 
     __slots__ = ("src", "dst", "_network", "_routes", "_request", "_staged",
-                 "_strict_audit", "_plan", "_sealed")
+                 "_placed", "_strict_audit", "_plan", "_sealed")
 
     def __init__(self, network: Network, src: int, dst: int,
                  routes: tuple[Route, ...], request: BitRateEntry,
@@ -188,10 +200,12 @@ class AllocationContext:
         self._network = network
         self._routes = routes
         self._request = request
-        self._staged: list[tuple[int, int, int]] = []
+        self._staged: list[tuple[int, int, int]] = []  # from alloc_slots
+        # From place: (link_ids, start, stop, bits), the request's only staging.
+        self._placed: tuple[tuple[int, ...], int, int, int] | None = None
         self._strict_audit = strict_audit
         self._plan: tuple[RoutePlan, ...] | None = None
-        self._sealed = False  # the engine seals its contexts but for its commit
+        self._sealed = False  # the engine seals its contexts and commits them
 
     @property
     def strict_audit(self) -> bool:
@@ -281,14 +295,54 @@ class AllocationContext:
     @property
     def staged(self) -> tuple[tuple[int, int, int], ...]:
         """Snapshot of the staged ``(link_id, start, stop)`` ranges."""
+        if self._placed is not None:
+            link_ids, start, stop, _ = self._placed
+            return tuple((link_id, start, stop) for link_id in link_ids)
         return tuple(self._staged)
+
+    def place(self, route: int, start: int, width: int) -> None:
+        """Stage ``[start, start + width)`` on every link of candidate ``route``.
+
+        Checked now, in this order: the route index, ``int`` bounds inside
+        the grid (:class:`OutOfBoundsError`), that ``width`` is the slot
+        count of an option whose reach covers the route
+        (:class:`AuditViolationError`), and that nothing else is staged
+        (:class:`StagedOverlapError`).  A placement is then the request's
+        only staging, and :meth:`alloc_slots` refuses to add to it.
+        """
+        plans = self._plan or self._search_plan()
+        if not 0 <= route < len(plans):
+            self._route(route)  # raises OutOfBoundsError
+        link_ids, schedules, all_slots = plans[route]
+        stop = start + width
+        slot_count = all_slots.bit_length()
+        if not (type(start) is int and type(width) is int
+                and 0 <= start < stop <= slot_count):
+            raise OutOfBoundsError(
+                f"staged range [{start}, {stop}) outside the "
+                f"{slot_count}-slot grid of link {link_ids[0]}"
+            )
+        for size, _ in schedules:
+            if size == width:
+                break
+        else:
+            raise AuditViolationError(
+                f"width {width} is not admissible on route {route}, whose "
+                f"options' reach admits widths {[size for size, _ in schedules]}"
+            )
+        if self._staged or self._placed is not None:
+            raise StagedOverlapError(
+                f"place({route}, {start}, {width}) with ranges already staged: "
+                "a placement is the request's only staging"
+            )
+        self._placed = (link_ids, start, stop, ((1 << width) - 1) << start)
 
     def alloc_slots(self, link_id: int, start: int, stop: int) -> None:
         """Stage occupation of ``[start, stop)`` on a link.
 
         The live grid is untouched; validation against it happens at commit.
         Bounds are checked now, as is overlap with ranges already staged on
-        the same link.
+        the same link, and that no :meth:`place` staged the request.
         """
         links = self._network.links
         if 0 <= link_id < len(links):
@@ -299,6 +353,11 @@ class AllocationContext:
             raise OutOfBoundsError(
                 f"staged range [{start}, {stop}) outside the "
                 f"{link._slot_count}-slot grid of link {link_id}"
+            )
+        if self._placed is not None:
+            raise StagedOverlapError(
+                f"staged range [{start}, {stop}) on link {link_id} after "
+                "place(): a placement is the request's only staging"
             )
         for other_id, other_start, other_stop in self._staged:
             if other_id == link_id and start < other_stop and other_start < stop:
@@ -311,49 +370,62 @@ class AllocationContext:
     def discard_staged(self) -> None:
         """Drop everything staged; live grids are untouched."""
         self._staged.clear()
+        self._placed = None
 
     def commit_staged(self) -> tuple[tuple[int, int, int], ...]:
-        """Engine-internal: validate and occupy all staged ranges atomically.
+        """Validate and occupy all staged ranges atomically.
 
-        Raises :class:`CommitConflictError` if any staged range is no longer
-        free, :class:`AllocatorFaultError` if a staged bound is not an
-        ``int``, and — in strict-audit mode — :class:`AuditViolationError` if
-        nothing is staged, or if the staged ranges are not contiguous per
-        link or do not span the identical interval on every staged link.
-        On any error the live grids are left bit-identical to their prior
-        state.  A context the engine built raises
-        :class:`AllocatorFaultError` instead, before touching any grid: the
-        engine commits when the allocator returns :data:`ALLOCATED`.
+        Returns the committed ``(link_id, start, stop)`` ranges, in staging
+        order.  Raises :class:`CommitConflictError` if any staged range is
+        no longer free, :class:`AllocatorFaultError` if a staged bound is
+        not an ``int``, and — in strict-audit mode, for ranges staged with
+        :meth:`alloc_slots` — :class:`AuditViolationError` if nothing is
+        staged, or if the staged ranges are not contiguous per link or do
+        not span the identical interval on every staged link.  On any error
+        the live grids are left bit-identical to their prior state.  A
+        context the engine built raises :class:`AllocatorFaultError`
+        instead, before touching any grid: the engine commits when the
+        allocator returns :data:`ALLOCATED`.
         """
         if self._sealed:
             raise AllocatorFaultError("commit_staged() on a context the engine "
                                       "built: return ALLOCATED to commit")
+        return _ranges(self._commit())
+
+    def _commit(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        # The engine's commit: commit_staged() without the seal, returning
+        # the holdings as (link_ids, bits) pairs.  Bounds were checked at
+        # staging and staged ranges on one link never overlap, so testing
+        # every range against the live masks before setting any makes the
+        # commit all-or-nothing.
+        links = self._network.links
+        if self._placed is not None:
+            link_ids, start, stop, bits = self._placed
+            for link_id in link_ids:
+                if links[link_id]._mask & bits:
+                    _refuse(links[link_id], start, stop)
+            for link_id in link_ids:
+                links[link_id]._mask |= bits
+            self._placed = None
+            return ((link_ids, bits),)
         if self._strict_audit:
             self._audit()
-        links = self._network.links
         staged = self._staged
-        # Bounds were checked at staging and staged ranges on one link never
-        # overlap, so testing every range against the live masks before
-        # setting any makes the commit all-or-nothing.  A non-int bound
-        # fails the mask arithmetic of this test, before any bit is set.
+        holdings = []
+        # A non-int bound fails the mask arithmetic, before any bit is set.
         try:
             for link_id, start, stop in staged:
-                link = links[link_id]
-                if link._mask & (((1 << (stop - start)) - 1) << start):
-                    try:
-                        link.occupy_slots(start, stop)  # refuses, touching nothing
-                    except AlreadyOccupiedError as err:
-                        raise CommitConflictError(
-                            f"staged range is no longer free at commit time: {err}"
-                        ) from err
+                bits = ((1 << (stop - start)) - 1) << start
+                if links[link_id]._mask & bits:
+                    _refuse(links[link_id], start, stop)
+                holdings.append(((link_id,), bits))
         except TypeError as err:
             raise AllocatorFaultError(f"staged [{start!r}, {stop!r}) on link "
                                       f"{link_id}: slot bounds must be int") from err
-        for link_id, start, stop in staged:
-            links[link_id]._mask |= ((1 << (stop - start)) - 1) << start
-        holdings = tuple(staged)
+        for (link_id,), bits in holdings:
+            links[link_id]._mask |= bits
         staged.clear()
-        return holdings
+        return tuple(holdings)
 
     def _audit(self) -> None:
         # alloc_slots rejects overlapping ranges on one link, so when every
@@ -388,3 +460,24 @@ class AllocationContext:
                 "staged links do not share one slot interval: "
                 + ", ".join(f"[{a}, {b})" for a, b in sorted(spans))
             )
+
+
+def _refuse(link: Link, start: int, stop: int) -> None:
+    """Raise the commit conflict of a range that is not free on ``link``."""
+    try:
+        link.occupy_slots(start, stop)  # refuses, touching nothing
+    except AlreadyOccupiedError as err:
+        raise CommitConflictError(
+            f"staged range is no longer free at commit time: {err}"
+        ) from err
+
+
+def _span(bits: int) -> tuple[int, int]:
+    """``(start, stop)`` of the one run of set bits in ``bits``."""
+    return (bits & -bits).bit_length() - 1, bits.bit_length()
+
+
+def _ranges(holdings) -> tuple[tuple[int, int, int], ...]:
+    """``(link_ids, bits)`` holdings as ``(link_id, start, stop)`` triples."""
+    return tuple((link_id, *_span(bits))
+                 for link_ids, bits in holdings for link_id in link_ids)

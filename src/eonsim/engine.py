@@ -5,8 +5,11 @@ until the configured number of requests has been dispatched, after which
 the remaining departures drain and every grid ends as it started.
 Departures wait in a heap of plain ``(time, event_id, connection_id,
 holdings)`` tuples, one per live connection, so the heap is also the
-live-connection table.  The next event is the earliest departure (the
-lowest event id among equal times) unless the arrival is strictly earlier:
+live-connection table.  The holdings are the commit's ``(link_ids, bits)``
+pairs (see :mod:`eonsim.allocation`); a departure clears each pair's
+``bits`` from the mask of each of its links, after testing that they are
+all set.  The next event is the earliest departure (the lowest event id
+among equal times) unless the arrival is strictly earlier:
 spectrum is freed before a competing request is evaluated, so ties never
 inflate blocking.  An event is never before the clock: it is the clock
 plus a draw of :func:`~eonsim.traffic.next_exponential`, never negative.
@@ -34,7 +37,14 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable, NamedTuple
 
-from .allocation import ALLOCATED, NOT_ALLOCATED, AllocationContext, request_plan
+from .allocation import (
+    ALLOCATED,
+    NOT_ALLOCATED,
+    AllocationContext,
+    _ranges,
+    _span,
+    request_plan,
+)
 from .errors import (
     AllocatorFaultError,
     AlreadyInitializedError,
@@ -44,7 +54,7 @@ from .errors import (
     NotInitializedError,
     RunAbortedError,
 )
-from .network import Link, Network, RouteSet
+from .network import Network, RouteSet
 from .report import SimulationReport
 from .traffic import (
     BitRateCatalog,
@@ -177,7 +187,8 @@ class Simulator:
     @property
     def live_connections(self) -> dict[int, ConnectionRecord]:
         """One record per queued departure, in connection-id order."""
-        return {connection_id: ConnectionRecord(connection_id, holdings, departs)
+        return {connection_id: ConnectionRecord(connection_id, _ranges(holdings),
+                                                departs)
                 for departs, _, connection_id, holdings
                 in sorted(self._departures, key=lambda departure: departure[2])}
 
@@ -250,7 +261,6 @@ class Simulator:
         draw_src_dst = sample_src_dst
         draw_bitrate = sample_bitrate
         draw_exponential = next_exponential
-        release = Link.release_slots
         report = self._report
         record_outcome = report.record_outcome
         allocator = self._allocator
@@ -269,8 +279,13 @@ class Simulator:
             if departures and (pending is None or departures[0][0] <= pending[0]):
                 clock, event_id, connection_id, holdings = pop(departures)
                 self._clock = clock
-                for link_id, start, stop in holdings:
-                    release(links[link_id], start, stop)
+                for link_ids, bits in holdings:
+                    for link_id in link_ids:
+                        link = links[link_id]
+                        mask = link._mask
+                        if mask & bits != bits:  # raises NotOccupiedError
+                            link.release_slots(*_span(bits))
+                        link._mask = mask ^ bits
                 if listener is not None:
                     listener(self, Event(clock, EventKind.DEPARTURE, event_id,
                                          connection_id))
@@ -299,11 +314,7 @@ class Simulator:
                         f"allocator {self._algorithm_name!r} raised "
                         f"{type(err).__name__}: {err}") from err
                 if verdict is ALLOCATED:
-                    ctx._sealed = False
-                    try:
-                        holdings = ctx.commit_staged()
-                    finally:
-                        ctx._sealed = True
+                    holdings = ctx._commit()
                     departs = clock + draw_exponential(departure_stream,
                                                        departure_rate)
                     held_by = next(connection_ids)
@@ -376,12 +387,13 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
     swept.  Returns the reports ordered by increasing load.  Every profile is
     built before the first run, so a rate the profile rejects raises
     :class:`ValueError` without running anything, as ``workers`` does unless
-    it is an ``int`` of at least 1.  The runs share no mutable state and
-    leave ``config`` as it was, so ``workers > 1`` runs them in up to one
-    process per rate, with the same results.  The allocator then reaches the
-    workers by pickle, by reference: a module-level function or a
-    ``functools.partial`` of one works, a lambda does not, and module-level
-    state it keeps changes in the workers only.
+    it is an ``int`` of at least 1, and as an argument the ``Simulator``
+    rejects does, before any worker process starts.  The runs share no
+    mutable state and leave ``config`` as it was, so ``workers > 1`` runs
+    them in up to one process per rate, with the same results.  The
+    allocator then reaches the workers by pickle, by reference: a
+    module-level function or a ``functools.partial`` of one works, a lambda
+    does not, and module-level state it keeps changes in the workers only.
 
     With ``progress_every``, each run's header, progress and summary lines go
     to ``sys.stdout`` as one block per run in load order: a serial run prints
@@ -402,6 +414,10 @@ def sweep_reports(config: SimulatorConfig, lambdas, allocator, *,
     run = functools.partial(_sweep_run, config, allocator, algorithm_name,
                             progress_every, workers > 1)
     if workers > 1:
+        # The first run's Simulator rejects a bad argument here, before any
+        # process starts.
+        Simulator(replace(config, profile=profiles[0]), allocator,
+                  algorithm_name=algorithm_name, progress_every=progress_every)
         # Imported here: it pulls in multiprocessing, which serial runs never need.
         from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(max_workers=workers)

@@ -464,6 +464,51 @@ class TestFirstFitOnPublicCalls:
         assert mine == bundled
         assert mine[2] > 0  # 150 Erlang blocks, so every route is searched
 
+    @staticmethod
+    def placing_first_fit(ctx):
+        """``public_first_fit`` with one ``place`` per placement."""
+        for route in range(ctx.route_count()):
+            occupied = intersection_grid(ctx, route)
+            slot_count = ctx.link_in_route(route, 0).slot_count
+            for option in modulation_options(ctx, route):
+                block = first_free_block(occupied, slot_count,
+                                         ctx.request_slots(option))
+                if block is not None:
+                    ctx.place(route, block.start, block.length)
+                    return ALLOCATED
+        return NOT_ALLOCATED
+
+    @staticmethod
+    def per_request(allocator, network, routes, catalog):
+        """Each request's verdict and staging, and the blocked count."""
+        outcomes = []
+
+        def recording(ctx):
+            verdict = allocator(ctx)
+            outcomes.append((verdict, ctx.staged))
+            return verdict
+
+        config = eonsim.SimulatorConfig(
+            network=network, routes=routes, catalog=catalog,
+            profile=eonsim.TrafficProfile(arrival_rate=1500.0, departure_rate=10.0,
+                                          goal_connections=10_000))
+        sim = eonsim.Simulator(config, recording)
+        sim.init()
+        return outcomes, sim.run().blocked
+
+    @pytest.mark.parametrize("catalog_name, blocked", [("full", 503), ("bpsk", 1361)])
+    def test_placing_matches_staging_link_by_link(self, nsfnet, nsfnet_routes,
+                                                  table_catalog, bpsk_catalog,
+                                                  catalog_name, blocked):
+        # 503 and 1361 are the bundled First Fit's counts at these seeds.
+        catalog = table_catalog if catalog_name == "full" else bpsk_catalog
+        placed = self.per_request(self.placing_first_fit, nsfnet, nsfnet_routes,
+                                  catalog)
+        staged = self.per_request(self.public_first_fit, nsfnet, nsfnet_routes,
+                                  catalog)
+        assert placed == staged
+        assert placed[1] == blocked
+
 
 class TestExactFit:
     def fragmented_ctx(self, occupied, need):

@@ -266,6 +266,131 @@ class TestCommit:
         assert issubclass(AuditViolationError, AllocatorFaultError)
 
 
+def grids(network):
+    return [link.occupancy for link in network.links]
+
+
+class TestPlace:
+    """``place(route, start, width)``: one interval on every link of a route."""
+
+    @pytest.fixture
+    def entry_400(self, table_catalog):
+        # Widths 6, 7, 8, 11, 16, 32 at reaches 80 ... 5520 km.
+        return next(entry for entry in table_catalog if entry.label == "400")
+
+    @pytest.fixture
+    def ctx_400(self, nsfnet, nsfnet_routes, entry_400):
+        """Pair (0, 1): routes of 1050, 2100 and 5100 km."""
+        return make_ctx(nsfnet, nsfnet_routes, 0, 1, entry_400)
+
+    def test_place_stages_the_interval_on_every_link(self, nsfnet, ctx_400):
+        ctx_400.place(1, 10, 16)
+        assert ctx_400.staged == ((2, 10, 26), (7, 10, 26))
+        assert nsfnet.all_grids_free()
+        assert ctx_400.commit_staged() == ((2, 10, 26), (7, 10, 26))
+        assert ctx_400.staged == ()
+        for link in nsfnet.links:
+            expected = mask_of([10 <= i < 26 for i in range(320)])
+            assert link.occupancy == (expected if link.id in (2, 7) else 0)
+
+    def test_discard_drops_a_placement(self, nsfnet, ctx_400):
+        ctx_400.place(0, 0, 11)
+        ctx_400.discard_staged()
+        assert ctx_400.staged == ()
+        ctx_400.alloc_slots(0, 0, 11)
+        assert ctx_400.staged == ((0, 0, 11),)
+
+    def place_refused(self, ctx, network, error, message, *args):
+        before, staged = grids(network), ctx.staged
+        with pytest.raises(error) as excinfo:
+            ctx.place(*args)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+        assert grids(network) == before
+        assert ctx.staged == staged
+
+    @pytest.mark.parametrize("route", [3, -1])
+    def test_route_index_out_of_range(self, nsfnet, ctx_400, route):
+        self.place_refused(ctx_400, nsfnet, OutOfBoundsError,
+                           f"route index {route} out of range [0, 3)",
+                           route, 0, 11)
+
+    def test_start_below_zero(self, nsfnet, ctx_400):
+        self.place_refused(ctx_400, nsfnet, OutOfBoundsError,
+                           "staged range [-1, 10) outside the 320-slot grid "
+                           "of link 0", 0, -1, 11)
+
+    def test_stop_one_slot_beyond_the_grid(self, nsfnet, ctx_400):
+        self.place_refused(ctx_400, nsfnet, OutOfBoundsError,
+                           "staged range [310, 321) outside the 320-slot grid "
+                           "of link 0", 0, 310, 11)
+        ctx_400.place(0, 309, 11)  # the last slot itself is in the grid
+        assert ctx_400.staged == ((0, 309, 320),)
+
+    @pytest.mark.parametrize("start, width, shown", [
+        (2.0, 11, "[2.0, 13.0)"), (2, 11.0, "[2, 13.0)")])
+    def test_non_integer_bound(self, nsfnet, ctx_400, start, width, shown):
+        self.place_refused(ctx_400, nsfnet, OutOfBoundsError,
+                           f"staged range {shown} outside the 320-slot grid "
+                           "of link 0", 0, start, width)
+
+    @pytest.mark.parametrize("route, width, admitted", [
+        (0, 6, "[11, 16, 32]"),   # 64-QAM reaches 80 km, route 0 is 1050 km
+        (1, 11, "[16, 32]"),      # 8-QAM reaches 1360 km, route 1 is 2100 km
+        (0, 12, "[11, 16, 32]"),  # no option is 12 slots wide
+    ])
+    def test_width_the_routes_reach_rules_out(self, nsfnet, ctx_400, route,
+                                              width, admitted):
+        self.place_refused(ctx_400, nsfnet, AuditViolationError,
+                           f"width {width} is not admissible on route {route}, "
+                           f"whose options' reach admits widths {admitted}",
+                           route, 0, width)
+
+    def test_place_after_alloc_slots(self, nsfnet, ctx_400):
+        ctx_400.alloc_slots(5, 0, 2)
+        self.place_refused(ctx_400, nsfnet, StagedOverlapError,
+                           "place(0, 0, 11) with ranges already staged: a "
+                           "placement is the request's only staging", 0, 0, 11)
+
+    def test_place_after_place(self, nsfnet, ctx_400):
+        ctx_400.place(0, 0, 11)
+        self.place_refused(ctx_400, nsfnet, StagedOverlapError,
+                           "place(1, 20, 16) with ranges already staged: a "
+                           "placement is the request's only staging", 1, 20, 16)
+
+    def test_alloc_slots_after_place(self, nsfnet, ctx_400):
+        ctx_400.place(0, 0, 11)
+        with pytest.raises(StagedOverlapError) as excinfo:
+            ctx_400.alloc_slots(5, 0, 2)
+        assert str(excinfo.value) == ("staged range [0, 2) on link 5 after "
+                                      "place(): a placement is the request's "
+                                      "only staging")
+        assert nsfnet.all_grids_free()
+        assert ctx_400.staged == ((0, 0, 11),)
+
+    def test_commit_conflict_touches_no_grid(self, nsfnet, ctx_400):
+        nsfnet.links[7].occupy_slots(25, 26)  # a live connection
+        before = grids(nsfnet)
+        ctx_400.place(1, 10, 16)
+        with pytest.raises(CommitConflictError) as excinfo:
+            ctx_400.commit_staged()
+        assert str(excinfo.value) == (
+            "staged range is no longer free at commit time: "
+            "link 7: range [10, 26) is not entirely free")
+        assert grids(nsfnet) == before
+        assert ctx_400.staged == ((2, 10, 26), (7, 10, 26))
+
+    def test_a_placement_needs_no_audit(self, nsfnet, nsfnet_routes, entry_400):
+        # The audit reads alloc_slots ranges only: run on a placement, it
+        # would refuse it as "nothing staged".
+        for strict_audit in (True, False):
+            ctx = make_ctx(nsfnet, nsfnet_routes, 0, 1, entry_400,
+                           strict_audit=strict_audit)
+            ctx.place(2, 100 * strict_audit, 32)
+            ctx.commit_staged()
+        assert nsfnet.links[4].occupied_count == 64
+
+
 class TestVerdicts:
     def test_module_constants(self):
         assert ALLOCATED is eonsim.Verdict.ALLOCATED

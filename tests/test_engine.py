@@ -23,6 +23,7 @@ from eonsim.errors import (
     CommitConflictError,
     InvalidConfigError,
     NotInitializedError,
+    NotOccupiedError,
     RunAbortedError,
 )
 
@@ -629,6 +630,29 @@ class TestInvariantsUnderListener:
         sim.init()
         sim.run()
         assert times == sorted(times)
+
+
+    @pytest.mark.parametrize("allocator", [first_fit, take_first_slot],
+                             ids=["place", "alloc_slots"])
+    def test_a_range_freed_behind_the_engine_fails_its_departure(
+            self, pair_config, allocator):
+        freed = []
+
+        def free_behind_the_engine(sim, event):
+            for record in sim.live_connections.values():
+                for link_id, start, stop in record.holdings:
+                    sim.config.network.links[link_id].release_slots(start, stop)
+                    freed.append((link_id, start, stop))
+
+        sim = Simulator(pair_config(goal=1), allocator,
+                        event_listener=free_behind_the_engine)
+        sim.init()
+        with pytest.raises(NotOccupiedError) as excinfo:
+            sim.run()
+        assert freed == [(0, 0, 1)]
+        assert str(excinfo.value) == ("link 0: range [0, 1) is not entirely "
+                                      "occupied (double release?)")
+        assert sim.config.network.all_grids_free()
 
 
 class TestDeterminism:

@@ -238,6 +238,15 @@ class TestRunSweep:
             sweep_reports(base_config, [18, 90], "FF", progress_every=100)
         assert capsys.readouterr().out == ""
 
+    def test_unknown_algorithm_starts_no_pool(self, base_config, monkeypatch):
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(ValueError, match=r"eonsim\.ALGORITHMS"):
+            sweep_reports(base_config, [18, 90], "FF", workers=2)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_run_keeps_its_error_class(self, base_config, workers):
         with pytest.raises(AllocatorFaultError) as excinfo:
