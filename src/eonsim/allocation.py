@@ -5,8 +5,11 @@ once per connection request.  Through the context it can read the candidate
 routes for the requested node pair, inspect link grids, read the sampled
 bitrate's modulation options, and *stage* slot ranges: one interval on every
 link of a candidate route with :meth:`AllocationContext.place`, or range by
-range with :meth:`AllocationContext.alloc_slots`.  Staging never touches the
-live grids: only when the callback returns :data:`ALLOCATED` does the engine
+range with :meth:`AllocationContext.alloc_slots`.  Both check their bounds
+when called: a bound that is not an ``int`` raises
+:class:`~eonsim.errors.AllocatorFaultError`, one outside the grid
+:class:`~eonsim.errors.OutOfBoundsError`.  Staging never touches the live
+grids: only when the callback returns :data:`ALLOCATED` does the engine
 commit the staged ranges (atomically, after validating them); on
 :data:`NOT_ALLOCATED` everything staged is discarded.  That makes the
 returned verdict authoritative — a rejected request can never leak slots.
@@ -40,14 +43,15 @@ slot widths with their shift schedules, and the all-slots mask.  The engine
 builds the plans of each (source, destination, bitrate) on first use in a
 run.
 
-The engine's commit returns a connection's holdings as ``(link_ids, bits)``
-pairs in staging order, ``bits`` having the staged slots set: one pair for a
-placement, with the route's link ids, and one per :meth:`alloc_slots` range,
-with its one link id.  The engine releases them with one mask operation per
-link.  Read as ``(link_id, start, stop)`` triples
+A context stages its ranges as ``(link_ids, bits)`` holdings, ``bits``
+having the staged slots set: one holding for a placement, with the route's
+link ids, and one per :meth:`~AllocationContext.alloc_slots` range, with
+its one link id, in staging order.  The engine's commit returns them as
+they are, and the engine releases them at departure with one mask
+operation per link.  Read as ``(link_id, start, stop)`` triples
 (:attr:`AllocationContext.staged`, :meth:`AllocationContext.commit_staged`,
-:attr:`~eonsim.engine.ConnectionRecord.holdings`), they are expanded by
-:func:`_ranges`.
+:attr:`~eonsim.engine.ConnectionRecord.holdings`, the strict audit), they
+are expanded by :func:`_ranges`.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ class LinkView:
     """Read-only window onto one link of a candidate route.
 
     Exposes the link's identity, length and grid queries, but no way to
-    mutate the grid — staging goes through
-    :meth:`AllocationContext.alloc_slots` only.
+    mutate the grid — staging goes through :meth:`AllocationContext.place`
+    and :meth:`AllocationContext.alloc_slots`.
     """
 
     __slots__ = ("_link",)
@@ -200,9 +204,9 @@ class AllocationContext:
         self._network = network
         self._routes = routes
         self._request = request
-        self._staged: list[tuple[int, int, int]] = []  # from alloc_slots
-        # From place: (link_ids, start, stop, bits), the request's only staging.
-        self._placed: tuple[tuple[int, ...], int, int, int] | None = None
+        # The staged (link_ids, bits) holdings, in the form _commit returns.
+        self._staged: tuple[tuple[tuple[int, ...], int], ...] = ()
+        self._placed = False  # a placement is the request's only staging
         self._strict_audit = strict_audit
         self._plan: tuple[RoutePlan, ...] | None = None
         self._sealed = False  # the engine seals its contexts and commits them
@@ -295,16 +299,14 @@ class AllocationContext:
     @property
     def staged(self) -> tuple[tuple[int, int, int], ...]:
         """Snapshot of the staged ``(link_id, start, stop)`` ranges."""
-        if self._placed is not None:
-            link_ids, start, stop, _ = self._placed
-            return tuple((link_id, start, stop) for link_id in link_ids)
-        return tuple(self._staged)
+        return _ranges(self._staged)
 
     def place(self, route: int, start: int, width: int) -> None:
         """Stage ``[start, start + width)`` on every link of candidate ``route``.
 
-        Checked now, in this order: the route index, ``int`` bounds inside
-        the grid (:class:`OutOfBoundsError`), that ``width`` is the slot
+        Checked now, in this order: the route index
+        (:class:`OutOfBoundsError`), the bounds as :meth:`alloc_slots`
+        checks them on the route's first link, that ``width`` is the slot
         count of an option whose reach covers the route
         (:class:`AuditViolationError`), and that nothing else is staged
         (:class:`StagedOverlapError`).  A placement is then the request's
@@ -314,14 +316,14 @@ class AllocationContext:
         if not 0 <= route < len(plans):
             self._route(route)  # raises OutOfBoundsError
         link_ids, schedules, all_slots = plans[route]
-        stop = start + width
         slot_count = all_slots.bit_length()
         if not (type(start) is int and type(width) is int
-                and 0 <= start < stop <= slot_count):
-            raise OutOfBoundsError(
-                f"staged range [{start}, {stop}) outside the "
-                f"{slot_count}-slot grid of link {link_ids[0]}"
-            )
+                and 0 <= start < start + width <= slot_count):
+            try:
+                stop = start + width
+            except TypeError:  # a None or str bound has no stop to show
+                stop = None
+            _refuse_bounds(link_ids[0], start, stop, slot_count)
         for size, _ in schedules:
             if size == width:
                 break
@@ -330,55 +332,56 @@ class AllocationContext:
                 f"width {width} is not admissible on route {route}, whose "
                 f"options' reach admits widths {[size for size, _ in schedules]}"
             )
-        if self._staged or self._placed is not None:
+        if self._staged:
             raise StagedOverlapError(
                 f"place({route}, {start}, {width}) with ranges already staged: "
                 "a placement is the request's only staging"
             )
-        self._placed = (link_ids, start, stop, ((1 << width) - 1) << start)
+        self._staged = ((link_ids, ((1 << width) - 1) << start),)
+        self._placed = True
 
     def alloc_slots(self, link_id: int, start: int, stop: int) -> None:
         """Stage occupation of ``[start, stop)`` on a link.
 
         The live grid is untouched; validation against it happens at commit.
-        Bounds are checked now, as is overlap with ranges already staged on
-        the same link, and that no :meth:`place` staged the request.
+        Bounds are checked now, as is that no :meth:`place` staged the
+        request, and overlap with ranges already staged on the same link.
         """
         links = self._network.links
         if 0 <= link_id < len(links):
             link = links[link_id]
         else:
             link = self._network.link(link_id)  # raises NoSuchLinkError
-        if not (0 <= start < stop <= link._slot_count):
-            raise OutOfBoundsError(
-                f"staged range [{start}, {stop}) outside the "
-                f"{link._slot_count}-slot grid of link {link_id}"
-            )
-        if self._placed is not None:
+        if not (type(start) is int and type(stop) is int
+                and 0 <= start < stop <= link._slot_count):
+            _refuse_bounds(link_id, start, stop, link._slot_count)
+        if self._placed:
             raise StagedOverlapError(
                 f"staged range [{start}, {stop}) on link {link_id} after "
                 "place(): a placement is the request's only staging"
             )
-        for other_id, other_start, other_stop in self._staged:
-            if other_id == link_id and start < other_stop and other_start < stop:
+        bits = ((1 << (stop - start)) - 1) << start
+        for (other_id,), other in self._staged:
+            if other_id == link_id and other & bits:
+                other_start, other_stop = _span(other)
                 raise StagedOverlapError(
                     f"staged range [{start}, {stop}) overlaps "
                     f"[{other_start}, {other_stop}) on link {link_id}"
                 )
-        self._staged.append((link_id, start, stop))
+        self._staged += (((link_id,), bits),)
 
     def discard_staged(self) -> None:
         """Drop everything staged; live grids are untouched."""
-        self._staged.clear()
-        self._placed = None
+        self._staged = ()
+        self._placed = False
 
     def commit_staged(self) -> tuple[tuple[int, int, int], ...]:
         """Validate and occupy all staged ranges atomically.
 
         Returns the committed ``(link_id, start, stop)`` ranges, in staging
-        order.  Raises :class:`CommitConflictError` if any staged range is
-        no longer free, :class:`AllocatorFaultError` if a staged bound is
-        not an ``int``, and — in strict-audit mode, for ranges staged with
+        order.  Bounds were checked when each range was staged, so the
+        commit raises :class:`CommitConflictError` if any staged range is
+        no longer free, and — in strict-audit mode, for ranges staged with
         :meth:`alloc_slots` — :class:`AuditViolationError` if nothing is
         staged, or if the staged ranges are not contiguous per link or do
         not span the identical interval on every staged link.  On any error
@@ -394,44 +397,29 @@ class AllocationContext:
 
     def _commit(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         # The engine's commit: commit_staged() without the seal, returning
-        # the holdings as (link_ids, bits) pairs.  Bounds were checked at
-        # staging and staged ranges on one link never overlap, so testing
-        # every range against the live masks before setting any makes the
-        # commit all-or-nothing.
+        # the staged (link_ids, bits) holdings.  Staged ranges on one link
+        # never overlap, so testing every range against the live masks
+        # before setting any makes the commit all-or-nothing.
+        staged = self._staged
+        if self._strict_audit and not self._placed:
+            self._audit()
         links = self._network.links
-        if self._placed is not None:
-            link_ids, start, stop, bits = self._placed
+        for link_ids, bits in staged:
             for link_id in link_ids:
                 if links[link_id]._mask & bits:
-                    _refuse(links[link_id], start, stop)
+                    _refuse(links[link_id], *_span(bits))
+        for link_ids, bits in staged:
             for link_id in link_ids:
                 links[link_id]._mask |= bits
-            self._placed = None
-            return ((link_ids, bits),)
-        if self._strict_audit:
-            self._audit()
-        staged = self._staged
-        holdings = []
-        # A non-int bound fails the mask arithmetic, before any bit is set.
-        try:
-            for link_id, start, stop in staged:
-                bits = ((1 << (stop - start)) - 1) << start
-                if links[link_id]._mask & bits:
-                    _refuse(links[link_id], start, stop)
-                holdings.append(((link_id,), bits))
-        except TypeError as err:
-            raise AllocatorFaultError(f"staged [{start!r}, {stop!r}) on link "
-                                      f"{link_id}: slot bounds must be int") from err
-        for (link_id,), bits in holdings:
-            links[link_id]._mask |= bits
-        staged.clear()
-        return tuple(holdings)
+        self._staged = ()
+        self._placed = False
+        return staged
 
     def _audit(self) -> None:
         # alloc_slots rejects overlapping ranges on one link, so when every
         # staged range is the same interval, each link holds it once and
         # both constraints hold.
-        staged = self._staged
+        staged = _ranges(self._staged)
         if not staged:
             raise AuditViolationError(
                 "ALLOCATED with nothing staged: an accepted connection must "
@@ -470,6 +458,15 @@ def _refuse(link: Link, start: int, stop: int) -> None:
         raise CommitConflictError(
             f"staged range is no longer free at commit time: {err}"
         ) from err
+
+
+def _refuse_bounds(link_id: int, start, stop, slot_count: int) -> None:
+    """Raise the staging error of bounds that fail the grid of ``link_id``."""
+    if type(start) is not int or type(stop) is not int:
+        raise AllocatorFaultError(f"staged [{start!r}, {stop!r}) on link "
+                                  f"{link_id}: slot bounds must be int")
+    raise OutOfBoundsError(f"staged range [{start}, {stop}) outside the "
+                           f"{slot_count}-slot grid of link {link_id}")
 
 
 def _span(bits: int) -> tuple[int, int]:

@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed-bitrate", type=int, default=Seeds().bitrate)
     parser.add_argument("--max-routes", type=int, metavar="K",
                         help="keep only the first K routes of every pair")
-    parser.add_argument("--no-strict-audit", action="store_true",
-                        help="skip contiguity/continuity audits at commit")
     parser.add_argument("--progress", type=int, metavar="N",
                         help="progress line every N requests "
                              "(default goal/10, 0 disables, below 0 is an error)")
@@ -100,7 +98,6 @@ def main(argv=None) -> int:
             seeds=Seeds(args.seed_arrival, args.seed_departure,
                         args.seed_source, args.seed_destination,
                         args.seed_bitrate),
-            strict_audit=not args.no_strict_audit,
         )
         reports = sweep_reports(config, lambdas, ALGORITHMS[args.algorithm],
                                 algorithm_name=args.algorithm,

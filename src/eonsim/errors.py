@@ -50,7 +50,8 @@ class CommitConflictError(AllocatorFaultError):
 
 
 class AuditViolationError(AllocatorFaultError):
-    """Strict audit rejected a committed allocation (contiguity/continuity)."""
+    """Strict audit rejected a committed allocation (contiguity/continuity),
+    or ``place`` a width the route's reach rules out, audit on or off."""
 
 
 # -- simulator lifecycle -------------------------------------------------------

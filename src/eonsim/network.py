@@ -6,9 +6,12 @@ occupy and release is then one mask operation, and the joint grid of a
 route is the OR of its links' masks.  All slot ranges in this package are
 half-open ``[start, stop)`` with 0-based indices.  :meth:`Link.occupy_slots`
 and :meth:`Link.release_slots` validate first and leave the grid untouched
-when they fail.  Two package-internal writers set the mask directly:
-:meth:`~eonsim.allocation.AllocationContext.commit_staged` sets the staged
-bits once every staged range has been checked free, and
+when they fail.  Three package-internal writers set the mask directly: the
+context's ``_commit`` (behind
+:meth:`~eonsim.allocation.AllocationContext.commit_staged` and the engine's
+commit) sets the staged bits once every staged range has been checked
+free, a departure in :meth:`~eonsim.engine.Simulator.run` clears them with
+one XOR per link once it has checked they are all set, and
 :class:`~eonsim.engine.Simulator` copies the caller's masks into its own
 copy of the network when it is built.
 :attr:`Link.occupancy` hands out that same ``int``, the package's one grid

@@ -44,19 +44,19 @@ class SimulationReport:
     def blocking_probability(self) -> float:
         return self.blocked / self.processed if self.processed else 0.0
 
-    def record_outcome(self, verdict: Verdict, bitrate_label: str | None = None) -> None:
-        """Count one processed request and its verdict."""
+    def record_outcome(self, verdict: Verdict, bitrate_label: str) -> None:
+        """Count one request and its verdict, in total and under its bitrate.
+
+        ``Simulator.init()`` creates the label's ``per_bitrate`` counter.
+        """
         self.processed += 1
-        blocked = verdict is not ALLOCATED
-        if blocked:
-            self.blocked += 1
-        else:
+        counters = self.per_bitrate[bitrate_label]
+        counters[0] += 1
+        if verdict is ALLOCATED:
             self.accepted += 1
-        if bitrate_label is not None:
-            counters = self.per_bitrate.setdefault(bitrate_label, [0, 0])
-            counters[0] += 1
-            if blocked:
-                counters[1] += 1
+        else:
+            self.blocked += 1
+            counters[1] += 1
 
     # -- console line formats ------------------------------------------------
 

@@ -43,6 +43,8 @@ def _call_error(call, grids, routes, option_count, staged):
         _, link_id, start, stop = call
         if not _index_ok(link_id, len(grids)):
             return NoSuchLinkError
+        if type(start) is not int or type(stop) is not int:
+            return AllocatorFaultError
         if not 0 <= start < stop <= len(grids[link_id]):
             return OutOfBoundsError
         for other_id, other_start, other_stop in staged:
@@ -97,8 +99,6 @@ def outcome(grids, routes, option_count, calls, verdict, strict_audit):
     if strict_audit and not _audit_passes(staged):
         return "raise", step, AuditViolationError
     for link_id, start, stop in staged:
-        if type(start) is not int or type(stop) is not int:
-            return "raise", step, AllocatorFaultError
         if any(grids[link_id][start:stop]):
             return "raise", step, CommitConflictError
     after = [list(grid) for grid in grids]

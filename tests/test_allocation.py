@@ -175,7 +175,7 @@ class TestCommit:
         chain_ctx.alloc_slots(0, 0, 4)
         chain_ctx.alloc_slots(2, 0, 4)
         holdings = chain_ctx.commit_staged()
-        assert set(holdings) == {(0, 0, 4), (2, 0, 4)}
+        assert holdings == ((0, 0, 4), (2, 0, 4))
         assert chain_net.links[0].occupied_count == 4
         assert chain_net.links[2].occupied_count == 4
         assert chain_ctx.staged == ()
@@ -246,20 +246,22 @@ class TestCommit:
     def test_non_integer_bound_is_an_allocator_fault(self, chain_net, chain_routes,
                                                      one_slot_catalog, strict_audit):
         # The fault is the context's to report, not the engine's, so a
-        # context built by hand raises it too.
+        # context built by hand raises it too, when the range is staged.
         chain_net.links[1].occupy_slots(0, 3)
         before = [link.occupancy for link in chain_net.links]
         ctx = make_ctx(chain_net, chain_routes, 0, 2, one_slot_catalog[0],
                        strict_audit=strict_audit)
         ctx.alloc_slots(0, 2, 4)
-        ctx.alloc_slots(2, 2.0, 4)
-        with pytest.raises(AllocatorFaultError) as excinfo:
-            ctx.commit_staged()
-        assert type(excinfo.value) is AllocatorFaultError
-        assert str(excinfo.value) == ("staged [2.0, 4) on link 2: "
-                                      "slot bounds must be int")
-        assert isinstance(excinfo.value.__cause__, TypeError)
-        assert [link.occupancy for link in chain_net.links] == before
+        for start, stop in [(2.0, 4), (2, 4.0), (None, 4), (2, None), (-1.0, 4)]:
+            with pytest.raises(AllocatorFaultError) as excinfo:
+                ctx.alloc_slots(2, start, stop)
+            assert type(excinfo.value) is AllocatorFaultError
+            assert str(excinfo.value) == (f"staged [{start!r}, {stop!r}) on "
+                                          "link 2: slot bounds must be int")
+            assert excinfo.value.__cause__ is None
+            assert ctx.staged == ((0, 2, 4),)
+            assert [link.occupancy for link in chain_net.links] == before
+        assert ctx.commit_staged() == ((0, 2, 4),)
 
     def test_conflict_and_violation_are_allocator_faults(self):
         assert issubclass(CommitConflictError, AllocatorFaultError)
@@ -292,6 +294,15 @@ class TestPlace:
         for link in nsfnet.links:
             expected = mask_of([10 <= i < 26 for i in range(320)])
             assert link.occupancy == (expected if link.id in (2, 7) else 0)
+
+    def test_a_committed_placement_is_no_longer_staged(self, nsfnet, ctx_400):
+        ctx_400.place(0, 0, 11)
+        ctx_400.commit_staged()
+        ctx_400.alloc_slots(5, 0, 2)
+        ctx_400.alloc_slots(5, 4, 6)
+        assert ctx_400.staged == ((5, 0, 2), (5, 4, 6))
+        with pytest.raises(AuditViolationError, match="not contiguous"):
+            ctx_400.commit_staged()
 
     def test_discard_drops_a_placement(self, nsfnet, ctx_400):
         ctx_400.place(0, 0, 11)
@@ -328,11 +339,12 @@ class TestPlace:
         assert ctx_400.staged == ((0, 309, 320),)
 
     @pytest.mark.parametrize("start, width, shown", [
-        (2.0, 11, "[2.0, 13.0)"), (2, 11.0, "[2, 13.0)")])
+        (2.0, 11, "[2.0, 13.0)"), (2, 11.0, "[2, 13.0)"),
+        (None, 11, "[None, None)"), (2, None, "[2, None)")])
     def test_non_integer_bound(self, nsfnet, ctx_400, start, width, shown):
-        self.place_refused(ctx_400, nsfnet, OutOfBoundsError,
-                           f"staged range {shown} outside the 320-slot grid "
-                           "of link 0", 0, start, width)
+        self.place_refused(ctx_400, nsfnet, AllocatorFaultError,
+                           f"staged {shown} on link 0: slot bounds must be int",
+                           0, start, width)
 
     @pytest.mark.parametrize("route, width, admitted", [
         (0, 6, "[11, 16, 32]"),   # 64-QAM reaches 80 km, route 0 is 1050 km

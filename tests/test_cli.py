@@ -57,11 +57,6 @@ def test_no_bitrates_uses_the_bundled_full_catalog(tmp_path):
     assert outputs["default"] != outputs["bpsk"]
 
 
-def test_no_strict_audit_flag(tmp_path):
-    code, out = run_cli(tmp_path, "--no-strict-audit")
-    assert code == 0
-
-
 def test_progress_lines_appear(tmp_path, capsys):
     out = tmp_path / "run.dat"
     code = main(["--network", NETWORK, "--routes", ROUTES,

@@ -27,7 +27,8 @@ from eonsim.errors import AllocatorFaultError, EonSimError
 
 def make_report(**kwargs):
     defaults = dict(algorithm="FF", arrival_rate=18.0, departure_rate=10.0,
-                    goal_connections=10, seeds=Seeds(), strict_audit=True)
+                    goal_connections=10, seeds=Seeds(), strict_audit=True,
+                    per_bitrate={"40": [0, 0], "100": [0, 0]})
     defaults.update(kwargs)
     return SimulationReport(**defaults)
 
@@ -36,21 +37,21 @@ class TestRecordOutcome:
     def test_mixed_outcomes(self):
         report = make_report()
         for _ in range(7):
-            report.record_outcome(ALLOCATED)
+            report.record_outcome(ALLOCATED, "40")
         for _ in range(3):
-            report.record_outcome(NOT_ALLOCATED)
+            report.record_outcome(NOT_ALLOCATED, "40")
         assert report.processed == 10
         assert report.blocking_probability == pytest.approx(0.3)
 
     def test_no_blocking(self):
         report = make_report()
-        report.record_outcome(ALLOCATED)
+        report.record_outcome(ALLOCATED, "40")
         assert report.blocking_probability == 0.0
 
     def test_all_blocked(self):
         report = make_report()
         for _ in range(4):
-            report.record_outcome(NOT_ALLOCATED)
+            report.record_outcome(NOT_ALLOCATED, "40")
         assert report.blocking_probability == 1.0
 
     def test_empty_report_has_zero_probability(self):
@@ -79,13 +80,13 @@ class TestLineFormats:
 
     def test_progress_format(self):
         report = make_report()
-        report.record_outcome(NOT_ALLOCATED)
+        report.record_outcome(NOT_ALLOCATED, "40")
         assert report.progress_line() == (
             "progress requests=1 blocked=1 blocking=1.000000e+00")
 
     def test_summary_format(self):
         report = make_report()
-        report.record_outcome(ALLOCATED)
+        report.record_outcome(ALLOCATED, "40")
         report.wall_clock_seconds = 0.125
         assert report.summary_line() == (
             "done requests=1 accepted=1 blocked=0 blocking=0.000000e+00 "
